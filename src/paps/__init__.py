@@ -4,8 +4,9 @@ from importlib import resources
 
 from .fcl import FclError, parse_rulebase
 from .fuzzy import (FuzzyOutput, FuzzyRule, LinguisticVariable,
-                    NoActivationError, RuleBase, TrapezoidMF, VariableConfig,
-                    defuzzify_cog, fuzzify, infer, label, mf_eval)
+                    NoActivationError, RuleBase, TrapezoidMF, UniverseError,
+                    VariableConfig, defuzzify_cog, fuzzify, infer, label,
+                    mf_eval)
 from .impact import (ImpactMatrix, OracleSizeError, Srl, brute_force_impact,
                      build_srl, impact, impact_matrix)
 from .model import (DerivationRule, Finding, Goal, Requirement, RiskProfile,

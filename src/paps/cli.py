@@ -11,9 +11,10 @@ import click
 
 from . import default_rules_text
 from .fcl import FclError, parse_rulebase
+from .fuzzy import UniverseError
 from .impact import impact_matrix
 from .model import validate_model
-from .pipeline import prioritize, report_csv, report_json
+from .pipeline import check_inputs, prioritize, report_csv, report_json
 from .relax import RenderError, relax_json, relax_srl, relax_text
 from .srm import SrmError, parse_model
 
@@ -37,13 +38,18 @@ def _load_model(path: str):
         _fail(f"{path}: {exc}")
 
 
+def _rules_source(path: str | None) -> str:
+    return path or "<default rules>"
+
+
 def _load_rules(path: str | None):
     text = default_rules_text() if path is None else _read_text(path)
-    source = path or "<default rules>"
     try:
-        return parse_rulebase(text)
+        config, rulebase = parse_rulebase(text)
+        check_inputs(config)
     except FclError as exc:
-        _fail(f"{source}: {exc}")
+        _fail(f"{_rules_source(path)}: {exc}")
+    return config, rulebase
 
 
 def _fail(message: str) -> None:
@@ -128,20 +134,9 @@ def impacts(model_path: str, goal: str | None, fmt: str, out: str | None) -> Non
     matrix = impact_matrix(model)
     if goal is not None and goal not in matrix.goals:
         _fail(f"unknown goal {goal!r}")
-    goals = [goal] if goal is not None else list(matrix.goals)
-    if fmt == "json":
-        import json
-        _emit(json.dumps({g: matrix.row(g) for g in goals}, indent=2) + "\n", out)
-    elif fmt == "csv":
-        lines = ["goal," + ",".join(matrix.requirements)]
-        for g in goals:
-            lines.append(g + "," + ",".join(
-                f"{matrix.get(g, r):.2f}" for r in matrix.requirements))
-        _emit("\n".join(lines) + "\n", out)
-    else:
-        rows = [[g] + [f"{matrix.get(g, r):.2f}" for r in matrix.requirements]
-                for g in goals]
-        _emit(_ascii_table(["goal"] + list(matrix.requirements), rows), out)
+    render = {"json": matrix.to_json, "csv": matrix.to_csv,
+              "table": matrix.to_table}[fmt]
+    _emit(render(None if goal is None else [goal]), out)
 
 
 @main.command("prioritize")
@@ -159,7 +154,10 @@ def prioritize_cmd(model_path: str, goal: str | None, rules_path: str | None,
     target = goal or model.root
     if target not in model.goal_ids():
         _fail(f"unknown goal {target!r}")
-    entries = prioritize(model, risk, target, config, rulebase)
+    try:
+        entries = prioritize(model, risk, target, config, rulebase)
+    except UniverseError as exc:
+        _fail(f"{_rules_source(rules_path)}: {exc}")
     if fmt == "json":
         _emit(report_json(entries), out)
     elif fmt == "csv":
@@ -191,6 +189,8 @@ def relax_cmd(model_path: str, goal: str | None, rules_path: str | None,
         statements = relax_srl(model, risk, target, config, rulebase)
     except RenderError as exc:
         _fail(str(exc))
+    except UniverseError as exc:
+        _fail(f"{_rules_source(rules_path)}: {exc}")
     _emit(relax_json(statements) if fmt == "json" else relax_text(statements),
           out)
 

@@ -17,6 +17,10 @@ class NoActivationError(Exception):
     """Defuzzification was asked for an identically-zero aggregate."""
 
 
+class UniverseError(ValueError):
+    """A crisp input lies outside its variable's universe."""
+
+
 @dataclass(frozen=True)
 class TrapezoidMF:
     """Trapezoid with support [x0, x3] and core [x1, x2].
@@ -157,7 +161,7 @@ def fuzzify(config: VariableConfig,
         var = config.input(name)
         if not var.contains(x):
             lo, hi = var.universe
-            raise ValueError(
+            raise UniverseError(
                 f"{name}={x} outside universe [{lo}, {hi}]")
         for term, mf in var.terms:
             degrees[(name, term)] = mf(x)

@@ -2,9 +2,10 @@
 
 The impact of a requirement x on a goal g is the maximum over all
 derivation paths g -> ... -> x of the minimum rule degree along the path.
-On a DAG this is the classic widest-path problem, solved here by a single
-topological-order dynamic program per source goal. A brute-force path
-enumerator is kept alongside as an independent test oracle.
+On a DAG this is the classic widest-path problem; ``ModelGraph.impact_rows``
+solves it for every node at once in one reverse-topological pass, and
+everything here reads those rows. A brute-force path enumerator is kept
+alongside as an independent test oracle.
 """
 
 from __future__ import annotations
@@ -12,8 +13,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping
 
-from .model import SecurityModel, adjacency, natural_key
+from .model import SecurityModel, adjacency
+
+_NO_CELLS: Mapping[str, float] = {}
 
 
 class OracleSizeError(Exception):
@@ -22,28 +28,114 @@ class OracleSizeError(Exception):
 
 @dataclass(frozen=True)
 class ImpactMatrix:
+    """Goal x requirement impacts; ``rows`` maps a goal to its non-zero
+    cells."""
+
     goals: tuple[str, ...]
     requirements: tuple[str, ...]
-    entries: dict[tuple[str, str], float]
+    rows: Mapping[str, Mapping[str, float]]
+
+    @cached_property
+    def entries(self) -> dict[tuple[str, str], float]:
+        return {(g, r): v for g in self.goals
+                for r, v in self.rows.get(g, _NO_CELLS).items()}
 
     def get(self, goal: str, requirement: str) -> float:
-        return self.entries.get((goal, requirement), 0.0)
+        return self.rows.get(goal, _NO_CELLS).get(requirement, 0.0)
 
     def row(self, goal: str) -> dict[str, float]:
         return {r: self.get(goal, r) for r in self.requirements}
 
-    def to_csv(self) -> str:
-        lines = ["goal," + ",".join(self.requirements)]
-        for g in self.goals:
-            cells = [f"{self.get(g, r):.2f}" for r in self.requirements]
-            lines.append(g + "," + ",".join(cells))
-        return "\n".join(lines) + "\n"
-
     def to_json_dict(self) -> dict[str, dict[str, float]]:
         return {g: self.row(g) for g in self.goals}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+    # The renderers below take an optional goal list (default: all goals)
+    # and format each distinct value once; a goal's line starts from a
+    # copy of the all-zero line and only its non-zero cells are filled in.
+
+    def _lines(self, goals: Iterable[str], columns: tuple[str, ...],
+               blank: list[str], cell: Callable[[int, float], str]
+               ) -> Iterator[tuple[str, list[str]]]:
+        index: dict[str, int] = {}
+        repeats = []  # (column, earlier column with the same id)
+        for i, r in enumerate(columns):
+            if r in index:
+                repeats.append((i, index[r]))
+            else:
+                index[r] = i
+        for g in goals:
+            cells = blank.copy()
+            for r, v in self.rows.get(g, _NO_CELLS).items():
+                i = index[r]
+                cells[i] = cell(i, v)
+            for i, j in repeats:
+                cells[i] = cells[j]
+            yield g, cells
+
+    def to_csv(self, goals: Iterable[str] | None = None) -> str:
+        text = _formatter("{:.2f}".format)
+        blank = [text(0.0)] * len(self.requirements)
+        lines = ["goal," + ",".join(self.requirements)]
+        for g, cells in self._lines(self.goals if goals is None else goals,
+                                    self.requirements, blank,
+                                    lambda i, v: text(v)):
+            lines.append(g + "," + ",".join(cells))
+        return "\n".join(lines) + "\n"
+
+    def to_table(self, goals: Iterable[str] | None = None) -> str:
+        """Fixed-width columns two spaces apart, trailing blanks stripped."""
+        goals = list(self.goals if goals is None else goals)
+        text = _formatter("{:.2f}".format)
+        zero = text(0.0)
+        width = {r: len(r) for r in self.requirements}
+        if goals:
+            values = set().union(
+                *(self.rows.get(g, _NO_CELLS).values() for g in goals))
+            if all(len(text(v)) == len(zero) for v in values):
+                width = {r: max(n, len(zero)) for r, n in width.items()}
+            else:
+                width = {r: max(n, *(len(text(self.get(g, r))) for g in goals))
+                         for r, n in width.items()}
+        widths = [max([len("goal"), *map(len, goals)]),
+                  *(width[r] for r in self.requirements)]
+        head, cols = widths[0], widths[1:]
+        lines = ["  ".join(h.ljust(w) for h, w in
+                           zip(["goal", *self.requirements], widths)).rstrip(),
+                 "  ".join("-" * w for w in widths)]
+        for g, cells in self._lines(goals, self.requirements,
+                                    [zero.ljust(w) for w in cols],
+                                    lambda i, v: text(v).ljust(cols[i])):
+            lines.append("  ".join([g.ljust(head), *cells]).rstrip())
+        return "\n".join(lines) + "\n"
+
+    def to_json(self, goals: Iterable[str] | None = None) -> str:
+        """``json.dumps({g: row(g) for g in goals}, indent=2) + "\\n"``."""
+        goals = dict.fromkeys(self.goals if goals is None else goals)
+        columns = tuple(dict.fromkeys(self.requirements))
+        text = _formatter(json.dumps)
+        prefix = [f"    {json.dumps(r)}: " for r in columns]
+        blocks = []
+        for g, cells in self._lines(goals, columns,
+                                    [p + text(0.0) for p in prefix],
+                                    lambda i, v: prefix[i] + text(v)):
+            body = "{\n" + ",\n".join(cells) + "\n  }" if cells else "{}"
+            blocks.append(f"  {json.dumps(g)}: {body}")
+        if not blocks:
+            return "{}\n"
+        return "{\n" + ",\n".join(blocks) + "\n}\n"
+
+
+def _formatter(fmt: Callable[[float], str]) -> Callable[[float], str]:
+    """``fmt``, called once per distinct value."""
+    cache: dict[float, str] = {}
+
+    def text(value: float) -> str:
+        cell = cache.get(value)
+        if cell is None:
+            cell = cache[value] = fmt(value)
+        return cell
+
+    return text
 
 
 @dataclass(frozen=True)
@@ -52,6 +144,40 @@ class Srl:
 
     goal: str
     entries: tuple[tuple[str, float], ...]
+
+
+def impact(model: SecurityModel, goal: str, requirement: str) -> float:
+    """Max over derivation paths of the min rule degree; 0 if no path."""
+    requirements = model.requirement_ids()
+    if goal not in model.goal_ids() | requirements:
+        raise KeyError(f"unknown node {goal!r}")
+    if requirement not in requirements:
+        raise KeyError(f"unknown requirement {requirement!r}")
+    return model.graph.impact_rows.get(goal, _NO_CELLS).get(requirement, 0.0)
+
+
+def impact_matrix(model: SecurityModel) -> ImpactMatrix:
+    rows = model.graph.impact_rows
+    goals = tuple(g.id for g in model.sorted_goals())
+    requirements = tuple(r.id for r in model.sorted_requirements())
+    # Read-only views: the rows stay cached on the model.
+    return ImpactMatrix(goals, requirements, {
+        g: MappingProxyType(rows[g]) for g in goals if g in rows})
+
+
+def build_srl(model: SecurityModel, goal: str) -> Srl:
+    if goal not in model.goal_ids():
+        raise KeyError(f"unknown goal {goal!r}")
+    row = model.graph.impact_rows.get(goal, _NO_CELLS)
+    # Requirements in natural id order, then a stable sort: strongest first,
+    # ties in natural id order.
+    entries = [(r.id, row[r.id])
+               for r in model.sorted_requirements() if r.id in row]
+    entries.sort(key=lambda e: -e[1])
+    return Srl(goal, tuple(entries))
+
+
+ORACLE_NODE_LIMIT = 20
 
 
 def _reachable(model: SecurityModel, source: str) -> set[str]:
@@ -65,84 +191,6 @@ def _reachable(model: SecurityModel, source: str) -> set[str]:
                 seen.add(child)
                 frontier.append(child)
     return seen
-
-
-def maximin_from(model: SecurityModel, source: str) -> dict[str, float]:
-    """Widest-path widths from ``source`` over paths of length >= 1."""
-    adj = adjacency(model)
-    order = _topological_order(model, source)
-    width: dict[str, float] = {source: math.inf}
-    for node in order:
-        w = width.get(node, 0.0)
-        if w <= 0.0:
-            continue
-        for child, degree in adj.get(node, ()):
-            cand = min(w, degree)
-            if cand > width.get(child, 0.0):
-                width[child] = cand
-    width.pop(source, None)
-    return width
-
-
-def _topological_order(model: SecurityModel, source: str) -> list[str]:
-    adj = adjacency(model)
-    order: list[str] = []
-    state: dict[str, int] = {}
-
-    def visit(node: str) -> None:
-        stack = [(node, iter([c for c, _ in adj.get(node, ())]))]
-        state[node] = 1
-        while stack:
-            current, children = stack[-1]
-            for child in children:
-                if state.get(child, 0) == 0:
-                    state[child] = 1
-                    stack.append(
-                        (child, iter([c for c, _ in adj.get(child, ())])))
-                    break
-            else:
-                state[current] = 2
-                order.append(current)
-                stack.pop()
-
-    visit(source)
-    order.reverse()
-    return order
-
-
-def impact(model: SecurityModel, goal: str, requirement: str) -> float:
-    """Max over derivation paths of the min rule degree; 0 if no path."""
-    known = model.goal_ids() | model.requirement_ids()
-    for node in (goal, requirement):
-        if node not in known:
-            raise KeyError(f"unknown node {node!r}")
-    return maximin_from(model, goal).get(requirement, 0.0)
-
-
-def impact_matrix(model: SecurityModel) -> ImpactMatrix:
-    goals = tuple(g.id for g in model.sorted_goals())
-    requirements = tuple(r.id for r in model.sorted_requirements())
-    entries: dict[tuple[str, str], float] = {}
-    for g in goals:
-        widths = maximin_from(model, g)
-        for r in requirements:
-            value = widths.get(r, 0.0)
-            if value > 0.0:
-                entries[(g, r)] = value
-    return ImpactMatrix(goals, requirements, entries)
-
-
-def build_srl(model: SecurityModel, goal: str) -> Srl:
-    if goal not in model.goal_ids():
-        raise KeyError(f"unknown goal {goal!r}")
-    widths = maximin_from(model, goal)
-    entries = [(r.id, widths[r.id])
-               for r in model.sorted_requirements() if widths.get(r.id, 0.0) > 0.0]
-    entries.sort(key=lambda e: (-e[1], natural_key(e[0])))
-    return Srl(goal, tuple(entries))
-
-
-ORACLE_NODE_LIMIT = 20
 
 
 def brute_force_impact(model: SecurityModel, goal: str, requirement: str) -> float:

@@ -10,17 +10,20 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterator, Mapping
+
+
+_DIGIT_RUN = re.compile(r"(\d+)")
 
 
 def natural_key(node_id: str) -> tuple:
     """Sort key treating digit runs numerically, so R2 < R10."""
-    return tuple(
+    return tuple([
         int(part) if part.isdigit() else part
-        for part in re.split(r"(\d+)", node_id)
+        for part in _DIGIT_RUN.split(node_id)
         if part != ""
-    )
+    ])
 
 
 @dataclass(frozen=True)
@@ -66,16 +69,16 @@ class SecurityModel:
         return {r.id for r in self.requirements}
 
     def goal(self, goal_id: str) -> Goal:
-        for g in self.goals:
-            if g.id == goal_id:
-                return g
-        raise KeyError(f"unknown goal {goal_id!r}")
+        try:
+            return self._goals_by_id[goal_id]
+        except KeyError:
+            raise KeyError(f"unknown goal {goal_id!r}") from None
 
     def requirement(self, req_id: str) -> Requirement:
-        for r in self.requirements:
-            if r.id == req_id:
-                return r
-        raise KeyError(f"unknown requirement {req_id!r}")
+        try:
+            return self._requirements_by_id[req_id]
+        except KeyError:
+            raise KeyError(f"unknown requirement {req_id!r}") from None
 
     def sorted_goals(self) -> list[Goal]:
         """Root first, then the remaining goals in natural id order."""
@@ -85,7 +88,28 @@ class SecurityModel:
         return head + rest
 
     def sorted_requirements(self) -> list[Requirement]:
-        return sorted(self.requirements, key=lambda r: natural_key(r.id))
+        return list(self._sorted_requirements)
+
+    # Derived data, built on first use and kept in the instance __dict__
+    # (cached_property writes there directly, so it works on a frozen
+    # dataclass and never enters __eq__ or __hash__).
+
+    @cached_property
+    def _goals_by_id(self) -> dict[str, Goal]:
+        return {g.id: g for g in reversed(self.goals)}  # first one wins
+
+    @cached_property
+    def _requirements_by_id(self) -> dict[str, Requirement]:
+        return {r.id: r for r in reversed(self.requirements)}
+
+    @cached_property
+    def _sorted_requirements(self) -> tuple[Requirement, ...]:
+        return tuple(sorted(self.requirements,
+                            key=lambda r: natural_key(r.id)))
+
+    @cached_property
+    def graph(self) -> ModelGraph:
+        return ModelGraph(self)
 
 
 @dataclass(frozen=True)
@@ -96,23 +120,81 @@ class RiskProfile:
     technical_ability: Mapping[str, float]
 
 
-@lru_cache(maxsize=64)
-def edge_degrees(model: SecurityModel) -> dict[tuple[str, str], float]:
-    """Rule-induced edges (head, child) -> degree, duplicates max-collapsed."""
-    edges: dict[tuple[str, str], float] = {}
-    for rule in model.rules:
-        for child in rule.body:
-            key = (rule.head, child)
-            edges[key] = max(edges.get(key, 0.0), rule.degree)
-    return edges
+class ModelGraph:
+    """The derivation graph of one model, compiled once.
+
+    ``adjacency`` maps each rule head to its (child, degree) pairs, sorted
+    by child id, with duplicate edges collapsed to their maximum degree.
+    ``order`` lists every node (declared or only referenced) so that heads
+    come before their children (Kahn 1962), or is None if the rules form a
+    cycle. ``impact_rows`` is computed on first use.
+    """
+
+    def __init__(self, model: SecurityModel):
+        self._requirements = model._requirements_by_id
+        adj: dict[str, dict[str, float]] = {}
+        for rule in model.rules:
+            children = adj.setdefault(rule.head, {})
+            for child in rule.body:
+                children[child] = max(children.get(child, 0.0), rule.degree)
+        self.adjacency: dict[str, tuple[tuple[str, float], ...]] = {
+            head: tuple(sorted(children.items()))
+            for head, children in adj.items()}
+
+        indegree = dict.fromkeys(
+            [g.id for g in model.goals] + [r.id for r in model.requirements]
+            + list(adj), 0)
+        for children in adj.values():
+            for child in children:
+                indegree[child] = indegree.get(child, 0) + 1
+        ready = [node for node, n in indegree.items() if n == 0]
+        order: list[str] = []
+        while ready:
+            node = ready.pop()
+            order.append(node)
+            for child in adj.get(node, ()):
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    ready.append(child)
+        self.order: tuple[str, ...] | None = (
+            tuple(order) if len(order) == len(indegree) else None)
+
+    @cached_property
+    def impact_rows(self) -> dict[str, dict[str, float]]:
+        """Node -> {requirement: impact > 0}, the widest-path widths.
+
+        One pass in reverse topological order: the row of a node is the
+        max over its children (c, d) of min(d, row[c][r]), where a
+        requirement child also contributes d for itself (Pollack 1960).
+        Nodes that reach no requirement have no row.
+        """
+        if self.order is None:
+            cycle = _find_cycle(self.adjacency, set(self.adjacency))
+            raise ValueError("derivation cycle: " + " -> ".join(cycle))
+        requirements = self._requirements
+        rows: dict[str, dict[str, float]] = {}
+        for node in reversed(self.order):
+            children = self.adjacency.get(node)
+            if not children:
+                continue
+            row: dict[str, float] = {}
+            get = row.get
+            for child, degree in children:
+                if child in requirements and degree > get(child, 0.0):
+                    row[child] = degree
+                for req, width in rows.get(child, {}).items():
+                    if width > degree:
+                        width = degree
+                    if width > get(req, 0.0):
+                        row[req] = width
+            if row:
+                rows[node] = row
+        return rows
 
 
-@lru_cache(maxsize=64)
 def adjacency(model: SecurityModel) -> dict[str, tuple[tuple[str, float], ...]]:
-    adj: dict[str, list[tuple[str, float]]] = {}
-    for (head, child), degree in sorted(edge_degrees(model).items()):
-        adj.setdefault(head, []).append((child, degree))
-    return {head: tuple(children) for head, children in adj.items()}
+    """Rule head -> (child, degree) pairs; see ``ModelGraph``."""
+    return model.graph.adjacency
 
 
 def technical_ability(complexity: float) -> float:
@@ -247,7 +329,8 @@ def validate_model(model: SecurityModel, risk: RiskProfile) -> ValidationReport:
                                         f"{name} {table[req.id]} outside [0, 1]"))
 
     adj = adjacency(model)
-    cycle = _find_cycle(adj, declared)
+    # Kahn's sort detects a cycle; the DFS then names one.
+    cycle = _find_cycle(adj, declared) if model.graph.order is None else None
     if cycle is not None:
         findings.append(Finding(CATEGORY_CYCLE, "error", cycle[0],
                                 "derivation cycle: " + " -> ".join(cycle)))

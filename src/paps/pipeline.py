@@ -5,8 +5,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .fuzzy import (NoActivationError, RuleBase, VariableConfig, defuzzify_cog,
-                    fuzzify, infer, label, short_label)
+from .fcl import FclError
+from .fuzzy import (NoActivationError, RuleBase, UniverseError, VariableConfig,
+                    defuzzify_cog, fuzzify, infer, label, short_label)
 from .impact import build_srl
 from .model import RiskProfile, SecurityModel, natural_key
 
@@ -24,22 +25,36 @@ class PrioritizedEntry:
     no_activation: bool = False
 
 
+INPUT_NAMES = ("impact", "cost", "tech")
+
+
+def check_inputs(config: VariableConfig) -> None:
+    """The rule base must read exactly the inputs impact, cost and tech."""
+    names = config.input_names()
+    if sorted(names) != sorted(INPUT_NAMES):
+        raise FclError(1, 1, "input variables must be impact, cost and tech, "
+                             f"got {', '.join(names)}")
+
+
 def prioritize(model: SecurityModel, risk: RiskProfile, goal: str,
                config: VariableConfig, rulebase: RuleBase) -> list[PrioritizedEntry]:
     """RDS and linguistic priority for every requirement contributing to goal.
 
     Requirements with zero impact on the goal are absent. If no rule fires
     for an entry the RDS falls back to the centroid of the weakest output
-    term and the entry is flagged rather than dropped.
+    term and the entry is flagged rather than dropped. The inputs bind to
+    the rule base's variables by name, not by declaration order.
     """
+    check_inputs(config)
     srl = build_srl(model, goal)
-    input_names = config.input_names()
     entries: list[PrioritizedEntry] = []
     for req_id, impact_value in srl.entries:
-        inputs = dict(zip(input_names, (impact_value,
-                                        risk.cost[req_id],
-                                        risk.technical_ability[req_id])))
-        fuzzified = fuzzify(config, inputs)
+        inputs = {"impact": impact_value, "cost": risk.cost[req_id],
+                  "tech": risk.technical_ability[req_id]}
+        try:
+            fuzzified = fuzzify(config, inputs)
+        except UniverseError as exc:
+            raise UniverseError(f"requirement {req_id}: {exc}") from exc
         output = infer(rulebase, config, fuzzified)
         no_activation = False
         try:

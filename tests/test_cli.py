@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 import paps
-from obs_tables import EXPECTED_METRICS, REQ_IDS
+from obs_tables import EXPECTED_METRICS, GOAL_IDS, REQ_IDS
 from paps.cli import main
 
 
@@ -85,6 +85,33 @@ class TestImpacts:
         assert first.output == second.output
 
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_goal_option_prints_that_row_of_the_full_matrix(
+            self, runner, obs_path, fmt):
+        full = _invoke(runner, "impacts", obs_path, "--format", fmt).output
+        for goal in GOAL_IDS:
+            one = _invoke(runner, "impacts", obs_path, "--goal", goal,
+                          "--format", fmt)
+            assert one.exit_code == 0
+            if fmt == "json":
+                row = {goal: json.loads(full)[goal]}
+                assert one.output == json.dumps(row, indent=2) + "\n"
+            elif fmt == "csv":
+                lines = full.splitlines()
+                assert one.output.splitlines() == [
+                    lines[0], lines[1 + GOAL_IDS.index(goal)]]
+            else:  # column widths depend on the rows shown
+                lines = [line.split() for line in full.splitlines()]
+                assert [line.split() for line in one.output.splitlines()] == [
+                    lines[0], lines[1], lines[2 + GOAL_IDS.index(goal)]]
+
+
+def _rules_file(tmp_path, old: str, new: str) -> str:
+    path = tmp_path / "custom.rules"
+    path.write_text(paps.default_rules_text().replace(old, new))
+    return str(path)
+
+
 class TestPrioritize:
     def test_g3_rows_in_rds_order(self, runner, obs_path):
         result = _invoke(runner, "prioritize", obs_path,
@@ -108,6 +135,32 @@ class TestPrioritize:
                          "--rules", str(rules))
         assert result.exit_code == 1
         assert "line 2" in result.output
+
+    @pytest.mark.parametrize("command", ["prioritize", "relax"])
+    def test_risk_outside_a_universe_exits_one(self, runner, obs_path,
+                                               tmp_path, command):
+        rules = _rules_file(
+            tmp_path,
+            "VAR_INPUT cost\n    RANGE := (0.0 .. 1.0);\n"
+            "    TERM low := (0, 0, 0.25, 0.5);",
+            "VAR_INPUT cost\n    RANGE := (0.1 .. 1.0);\n"
+            "    TERM low := (0.1, 0.1, 0.25, 0.5);")
+        result = _invoke(runner, command, obs_path, "--rules", rules)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {rules}: requirement R")
+        assert "cost=0.05 outside universe [0.1, 1.0]" in lines[0]
+
+    def test_rulebase_with_other_inputs_exits_one(self, runner, obs_path,
+                                                 tmp_path):
+        rules = _rules_file(tmp_path, "tech", "skill")
+        result = _invoke(runner, "prioritize", obs_path, "--rules", rules)
+        assert result.exit_code == 1
+        assert result.output == (
+            f"error: {rules}: line 1, column 1: input variables must be "
+            "impact, cost and tech, got impact, cost, skill\n")
 
     def test_default_goal_is_root(self, runner, obs_path):
         explicit = _invoke(runner, "prioritize", obs_path, "--goal", "S")

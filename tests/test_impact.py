@@ -1,6 +1,8 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from generators import random_dag_model
 from obs_tables import EXPECTED_IMPACTS, GOAL_IDS, REQ_IDS
@@ -206,3 +208,109 @@ class TestProperties:
         for (g, r), value in matrix.entries.items():
             assert value <= out_max.get(g, 0.0) + 1e-12
             assert value <= in_max.get(r, 0.0) + 1e-12
+
+
+@st.composite
+def messy_dags(draw):
+    """Small DAGs with duplicate edges, zero degrees and undeclared nodes.
+
+    Undeclared ids (X...) appear as children and as heads of further rules;
+    every edge points forward in one drawn order, so the graph is acyclic.
+    """
+    goals = [f"G{i}" for i in range(draw(st.integers(1, 6)))]
+    reqs = [f"R{i}" for i in range(draw(st.integers(0, 5)))]
+    inner = draw(st.permutations(
+        goals + [f"X{i}" for i in range(draw(st.integers(0, 3)))]))
+    degrees = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    rules = []
+    for i, head in enumerate(inner):
+        targets = inner[i + 1:] + reqs + ["X9"]
+        for body in draw(st.lists(
+                st.lists(st.sampled_from(targets), min_size=1, max_size=3),
+                max_size=3)):
+            rules.append((head, body, draw(degrees)))
+    return _model(goals, reqs, rules, root=goals[0])
+
+
+def _csv_reference(matrix, goals):
+    lines = ["goal," + ",".join(matrix.requirements)]
+    for g in goals:
+        lines.append(g + "," + ",".join(
+            f"{matrix.get(g, r):.2f}" for r in matrix.requirements))
+    return "\n".join(lines) + "\n"
+
+
+def _table_reference(matrix, goals):
+    header = ["goal"] + list(matrix.requirements)
+    rows = [[g] + [f"{matrix.get(g, r):.2f}" for r in matrix.requirements]
+            for g in goals]
+    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) if rows
+              else len(header[i]) for i in range(len(header))]
+
+    def fmt(cells):
+        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+    rule = "  ".join("-" * w for w in widths)
+    return "\n".join([fmt(header), rule] + [fmt(r) for r in rows]) + "\n"
+
+
+class TestSinglePass:
+    @settings(max_examples=300, deadline=None)
+    @given(messy_dags())
+    def test_every_cell_equals_the_oracle(self, model):
+        matrix = impact_matrix(model)
+        for g in matrix.goals:
+            for r in matrix.requirements:
+                expected = brute_force_impact(model, g, r)
+                assert matrix.get(g, r) == expected, (g, r)
+                assert impact(model, g, r) == expected, (g, r)
+        assert all(v > 0.0 for v in matrix.entries.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(messy_dags(), st.data())
+    def test_renderers_match_plain_formatting(self, model, data):
+        matrix = impact_matrix(model)
+        goals = data.draw(st.lists(st.sampled_from(matrix.goals), max_size=4))
+        for subset in (None, goals):
+            shown = matrix.goals if subset is None else subset
+            assert matrix.to_json(subset) == json.dumps(
+                {g: matrix.row(g) for g in shown}, indent=2) + "\n"
+            assert matrix.to_csv(subset) == _csv_reference(matrix, shown)
+            assert matrix.to_table(subset) == _table_reference(matrix, shown)
+
+    def test_json_matches_json_dumps(self, obs):
+        model, _ = obs
+        matrix = impact_matrix(model)
+        assert matrix.to_json() == json.dumps(
+            matrix.to_json_dict(), indent=2) + "\n"
+
+    @pytest.mark.parametrize("model", [
+        _model(["S"], ["R1", "R2"], [], "S"),               # no rules
+        _model(["S", "G1"], [], [("S", ["G1"], 0.5)], "S"),  # no requirements
+        _model([], ["R1"], [], "S"),                        # no goals
+        _model(["S", "G1"], ["R1", "R2"],                   # wide cells
+               [("S", ["R1"], 12.5), ("G1", ["R2"], 0.5)], "S"),
+        _model(["S", "S"], ["R1", "R2", "R1"],              # repeated ids
+               [("S", ["R1", "R2"], 0.5)], "S"),
+    ])
+    def test_renderers_on_edge_case_models(self, model):
+        matrix = impact_matrix(model)
+        assert matrix.to_json() == json.dumps(
+            matrix.to_json_dict(), indent=2) + "\n"
+        assert matrix.to_table() == _table_reference(matrix, matrix.goals)
+        assert matrix.to_csv() == _csv_reference(matrix, matrix.goals)
+
+    def test_rows_are_computed_once_per_model(self, obs):
+        model, _ = obs
+        rows = model.graph.impact_rows
+        matrix = impact_matrix(model)
+        assert model.graph.impact_rows is rows
+        with pytest.raises(TypeError):
+            matrix.rows["S"]["R1"] = 0.0
+        assert build_srl(model, "G3").entries == tuple(
+            sorted(impact_matrix(model).rows["G3"].items(),
+                   key=lambda e: (-e[1], e[0])))
+
+    def test_goal_as_requirement_argument_is_rejected(self, obs):
+        model, _ = obs
+        with pytest.raises(KeyError):
+            impact(model, "S", "G3")

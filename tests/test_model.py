@@ -2,8 +2,11 @@ import random
 
 import pytest
 
+import paps
+from paps.impact import build_srl, impact, impact_matrix
 from paps.model import (DerivationRule, Goal, Requirement, RiskProfile,
-                        SecurityModel, technical_ability, validate_model)
+                        SecurityModel, adjacency, technical_ability,
+                        validate_model)
 
 
 def _small_model(rules):
@@ -11,6 +14,23 @@ def _small_model(rules):
         goals=(Goal("S"), Goal("G1")),
         requirements=(Requirement("R1"),),
         rules=tuple(rules),
+        root="S")
+
+
+def _self_loop_model():
+    return _small_model([
+        DerivationRule("P1", "S", ("G1", "R1"), 0.5),
+        DerivationRule("P2", "G1", ("G1",), 0.5),
+    ])
+
+
+def _longer_cycle_model():
+    return SecurityModel(
+        goals=(Goal("S"), Goal("G1"), Goal("G2")),
+        requirements=(Requirement("R1"),),
+        rules=(DerivationRule("P1", "S", ("G1",), 0.9),
+               DerivationRule("P2", "G1", ("G2",), 0.9),
+               DerivationRule("P3", "G2", ("G1", "R1"), 0.9)),
         root="S")
 
 
@@ -31,23 +51,12 @@ class TestValidateModel:
         assert report.ok
 
     def test_self_loop_is_a_cycle_finding(self):
-        model = _small_model([
-            DerivationRule("P1", "S", ("G1", "R1"), 0.5),
-            DerivationRule("P2", "G1", ("G1",), 0.5),
-        ])
-        report = validate_model(model, _risk())
+        report = validate_model(_self_loop_model(), _risk())
         cycles = [f for f in report.errors if f.category == "cycle"]
         assert len(cycles) == 1
 
     def test_longer_cycle_detected(self):
-        model = SecurityModel(
-            goals=(Goal("S"), Goal("G1"), Goal("G2")),
-            requirements=(Requirement("R1"),),
-            rules=(DerivationRule("P1", "S", ("G1",), 0.9),
-                   DerivationRule("P2", "G1", ("G2",), 0.9),
-                   DerivationRule("P3", "G2", ("G1", "R1"), 0.9)),
-            root="S")
-        report = validate_model(model, _risk())
+        report = validate_model(_longer_cycle_model(), _risk())
         assert any(f.category == "cycle" for f in report.errors)
 
     def test_missing_risk_entry(self, obs):
@@ -97,6 +106,56 @@ class TestValidateModel:
             assert 0.0 <= rule.degree <= 1.0
         for table in (risk.cost, risk.technical_ability):
             assert all(0.0 <= v <= 1.0 for v in table.values())
+
+
+class TestCyclicModelsRaise:
+    @pytest.mark.parametrize("make", [_self_loop_model, _longer_cycle_model])
+    def test_library_entry_points_raise(self, make, default_fis):
+        model = make()
+        for call in (lambda: impact_matrix(model),
+                     lambda: impact(model, "S", "R1"),
+                     lambda: build_srl(model, "S"),
+                     lambda: paps.prioritize(model, _risk(), "S",
+                                             *default_fis),
+                     lambda: paps.relax_srl(model, _risk(), "S",
+                                            *default_fis)):
+            with pytest.raises(ValueError, match="derivation cycle: G1 -> "):
+                call()
+
+
+class TestGraph:
+    def test_built_once_per_instance(self, obs):
+        model, _ = obs
+        assert model.graph is model.graph
+        assert adjacency(model) is model.graph.adjacency
+
+    def test_equality_and_hash_ignore_derived_data(self, obs):
+        model, _ = obs
+        twin = paps.parse_model(paps.obs_fixture_text())[0]
+        model.graph.impact_rows
+        assert twin == model and hash(twin) == hash(model)
+
+    def test_validation_leaves_impact_rows_unbuilt(self, obs):
+        model = paps.parse_model(paps.obs_fixture_text())[0]
+        validate_model(model, obs[1])
+        assert "impact_rows" not in vars(model.graph)
+
+    def test_duplicate_edges_collapse_to_max_in_child_order(self):
+        model = _small_model([DerivationRule("P1", "S", ("R1", "G1"), 0.3),
+                              DerivationRule("P2", "S", ("R1",), 0.6),
+                              DerivationRule("P3", "S", ("R1",), 0.4)])
+        assert adjacency(model) == {"S": (("G1", 0.3), ("R1", 0.6))}
+
+    def test_lookups_by_id(self):
+        model = SecurityModel(
+            goals=(Goal("S", "first"), Goal("S", "second")),
+            requirements=(Requirement("R1", "req"),), rules=(), root="S")
+        assert model.goal("S").description == "first"
+        assert model.requirement("R1").description == "req"
+        with pytest.raises(KeyError):
+            model.goal("R1")
+        with pytest.raises(KeyError):
+            model.requirement("S")
 
 
 class TestTechnicalAbility:

@@ -1,10 +1,37 @@
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import paps
 from obs_tables import EXPECTED_SUPPORT, GOAL_IDS
-from paps.fuzzy import label
+from paps.fcl import FclError, parse_rulebase
+from paps.fuzzy import UniverseError, label
 from paps.pipeline import prioritize, report_csv, report_json
+from paps.relax import relax_json, relax_srl
+
+
+def permuted_rules(order: list[int], rng) -> str:
+    """The default rule base with its VAR_INPUT blocks put in ``order`` and
+    its RULE lines shuffled by ``rng``."""
+    text = paps.default_rules_text()
+    blocks = re.findall(r"VAR_INPUT .*?END_VAR\n", text, re.S)
+    rules = re.findall(r"^ *RULE .*\n", text, re.M)
+    assert len(blocks) == 3 and len(rules) == 27
+    for block in blocks:
+        text = text.replace(block, "", 1)
+    for rule in rules:
+        text = text.replace(rule, "", 1)
+    rng.shuffle(rules)
+    text = text.replace("RULEBLOCK\n", "RULEBLOCK\n" + "".join(rules), 1)
+    return "".join(blocks[i] for i in order) + text
+
+
+def _outputs(model, risk, config, rulebase) -> str:
+    return "".join(report_csv(prioritize(model, risk, g, config, rulebase))
+                   + relax_json(relax_srl(model, risk, g, config, rulebase))
+                   for g in GOAL_IDS)
 
 
 class TestPrioritize:
@@ -92,3 +119,40 @@ class TestReports:
         assert rows[0]["requirement"] == "R11"
         assert set(rows[0]) == {"goal", "requirement", "impact", "cost",
                                 "tech", "rds", "label", "no_activation"}
+
+
+class TestInputBinding:
+    @settings(max_examples=12, deadline=None)
+    @given(st.permutations([0, 1, 2]), st.randoms(use_true_random=False))
+    def test_declaration_order_does_not_matter(self, obs, default_fis,
+                                               order, rng):
+        model, risk = obs
+        config, rulebase = parse_rulebase(permuted_rules(order, rng))
+        assert _outputs(model, risk, config, rulebase) == _outputs(
+            model, risk, *default_fis)
+
+    @pytest.mark.parametrize("old, new", [
+        ("tech", "skill"),                       # renamed
+        ("VAR_INPUT tech", "VAR_INPUT extra"),   # tech missing, extra declared
+    ])
+    def test_inputs_must_be_impact_cost_tech(self, obs, old, new):
+        model, risk = obs
+        text = paps.default_rules_text().replace(old, new)
+        if old == "VAR_INPUT tech":
+            text = text.replace(" AND tech IS high", "").replace(
+                " AND tech IS medium", "").replace(" AND tech IS low", "")
+        config, rulebase = parse_rulebase(text)
+        with pytest.raises(FclError, match="impact, cost and tech"):
+            prioritize(model, risk, "S", config, rulebase)
+
+    def test_value_outside_a_universe_names_the_requirement(self, obs):
+        model, risk = obs
+        text = paps.default_rules_text().replace(
+            "VAR_INPUT cost\n    RANGE := (0.0 .. 1.0);\n"
+            "    TERM low := (0, 0, 0.25, 0.5);",
+            "VAR_INPUT cost\n    RANGE := (0.1 .. 1.0);\n"
+            "    TERM low := (0.1, 0.1, 0.25, 0.5);")
+        config, rulebase = parse_rulebase(text)
+        with pytest.raises(UniverseError,
+                           match=r"requirement R\d+: cost=0.05 outside"):
+            prioritize(model, risk, "S", config, rulebase)
