@@ -14,7 +14,7 @@ from .fcl import FclError, parse_rulebase
 from .fuzzy import UniverseError
 from .impact import impact_matrix
 from .model import validate_model
-from .pipeline import check_inputs, prioritize, report_csv, report_json
+from .pipeline import prioritize, report_csv, report_json
 from .relax import RenderError, relax_json, relax_srl, relax_text
 from .srm import SrmError, parse_model
 
@@ -45,11 +45,9 @@ def _rules_source(path: str | None) -> str:
 def _load_rules(path: str | None):
     text = default_rules_text() if path is None else _read_text(path)
     try:
-        config, rulebase = parse_rulebase(text)
-        check_inputs(config)
+        return parse_rulebase(text)
     except FclError as exc:
         _fail(f"{_rules_source(path)}: {exc}")
-    return config, rulebase
 
 
 def _fail(message: str) -> None:
@@ -156,7 +154,7 @@ def prioritize_cmd(model_path: str, goal: str | None, rules_path: str | None,
         _fail(f"unknown goal {target!r}")
     try:
         entries = prioritize(model, risk, target, config, rulebase)
-    except UniverseError as exc:
+    except (FclError, UniverseError) as exc:
         _fail(f"{_rules_source(rules_path)}: {exc}")
     if fmt == "json":
         _emit(report_json(entries), out)
@@ -189,7 +187,7 @@ def relax_cmd(model_path: str, goal: str | None, rules_path: str | None,
         statements = relax_srl(model, risk, target, config, rulebase)
     except RenderError as exc:
         _fail(str(exc))
-    except UniverseError as exc:
+    except (FclError, UniverseError) as exc:
         _fail(f"{_rules_source(rules_path)}: {exc}")
     _emit(relax_json(statements) if fmt == "json" else relax_text(statements),
           out)

@@ -13,7 +13,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from collections import Counter
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -34,6 +36,14 @@ class ImpactMatrix:
     goals: tuple[str, ...]
     requirements: tuple[str, ...]
     rows: Mapping[str, Mapping[str, float]]
+
+    def __post_init__(self) -> None:
+        # ``rows`` replaced a flat ``{(goal, requirement): value}`` field;
+        # such a dict would otherwise read as all zeros.
+        if any(isinstance(g, tuple) for g in self.rows):
+            raise TypeError("ImpactMatrix.rows maps a goal to its "
+                            "{requirement: value} cells, not "
+                            "(goal, requirement) pairs to values")
 
     @cached_property
     def entries(self) -> dict[tuple[str, str], float]:
@@ -87,15 +97,20 @@ class ImpactMatrix:
         goals = list(self.goals if goals is None else goals)
         text = _formatter("{:.2f}".format)
         zero = text(0.0)
+        # A column is as wide as its id, its shown cells and, when some
+        # shown goal has no cell in it, the zero text.
+        shown = [self.rows.get(g, _NO_CELLS) for g in goals]
+        size = {v: len(text(v)) for v in set().union(
+            *(row.values() for row in shown))}
         width = {r: len(r) for r in self.requirements}
-        if goals:
-            values = set().union(
-                *(self.rows.get(g, _NO_CELLS).values() for g in goals))
-            if all(len(text(v)) == len(zero) for v in values):
-                width = {r: max(n, len(zero)) for r, n in width.items()}
-            else:
-                width = {r: max(n, *(len(text(self.get(g, r))) for g in goals))
-                         for r, n in width.items()}
+        for row in shown:
+            for r, v in row.items():
+                if size[v] > width[r]:
+                    width[r] = size[v]
+        filled = Counter(chain.from_iterable(shown))
+        for r in width:
+            if filled[r] < len(goals) and width[r] < len(zero):
+                width[r] = len(zero)
         widths = [max([len("goal"), *map(len, goals)]),
                   *(width[r] for r in self.requirements)]
         head, cols = widths[0], widths[1:]

@@ -195,6 +195,15 @@ class TestRelax:
         assert result.exit_code == 1
         assert "R6" in result.output
 
+    def test_rulebase_with_other_inputs_exits_one(self, runner, obs_path,
+                                                 tmp_path):
+        rules = _rules_file(tmp_path, "tech", "skill")
+        result = _invoke(runner, "relax", obs_path, "--rules", rules)
+        assert result.exit_code == 1
+        assert result.output == (
+            f"error: {rules}: line 1, column 1: input variables must be "
+            "impact, cost and tech, got impact, cost, skill\n")
+
     def test_json_format(self, runner, obs_path):
         result = _invoke(runner, "relax", obs_path, "--format", "json")
         rows = json.loads(result.output)

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from generators import random_dag_model
 from obs_tables import EXPECTED_IMPACTS, GOAL_IDS, REQ_IDS
-from paps.impact import (OracleSizeError, brute_force_impact, build_srl,
-                         impact, impact_matrix)
+from paps.impact import (ImpactMatrix, OracleSizeError, brute_force_impact,
+                         build_srl, impact, impact_matrix)
 from paps.model import (DerivationRule, Goal, Requirement, SecurityModel)
 
 
@@ -298,6 +298,18 @@ class TestSinglePass:
             matrix.to_json_dict(), indent=2) + "\n"
         assert matrix.to_table() == _table_reference(matrix, matrix.goals)
         assert matrix.to_csv() == _csv_reference(matrix, matrix.goals)
+
+    @pytest.mark.parametrize("goals", [["S"], ["G1"], ["G1", "S"], []])
+    def test_table_widths_follow_the_shown_goals(self, goals):
+        # R1 holds a wide cell for S only; G1 shows 0.00 there.
+        matrix = impact_matrix(_model(
+            ["S", "G1"], ["R1", "R2"],
+            [("S", ["R1"], 12.5), ("G1", ["R2"], float("inf"))], "S"))
+        assert matrix.to_table(goals) == _table_reference(matrix, goals)
+
+    def test_pair_keyed_rows_are_rejected(self):
+        with pytest.raises(TypeError, match="not \\(goal, requirement\\)"):
+            ImpactMatrix(("S",), ("R1",), {("S", "R1"): 0.5})
 
     def test_rows_are_computed_once_per_model(self, obs):
         model, _ = obs
