@@ -78,6 +78,9 @@ def parse_rulebase(text: str) -> tuple[VariableConfig, RuleBase]:
             raise FclError(lineno, 1, str(exc)) from exc
         if var.name in declared:
             raise FclError(lineno, 1, f"duplicate variable {var.name}")
+        if section == "output" and output is not None:
+            raise FclError(lineno, 1, f"second output variable {var.name}; "
+                                      f"{output.name} is already the output")
         declared[var.name] = var
         if section == "input":
             inputs.append(var)

@@ -9,7 +9,7 @@ rather than by sampling; results are exact and platform independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Mapping
 
 
@@ -45,16 +45,25 @@ class TrapezoidMF:
 
 
 def mf_eval(mf: TrapezoidMF, x: float) -> float:
-    """max(min((x-x0)/(x1-x0), 1, (x3-x)/(x3-x2)), 0) with shoulder rules."""
-    if mf.x1 > mf.x0:
-        left = (x - mf.x0) / (mf.x1 - mf.x0)
+    """max(min((x-x0)/(x1-x0), 1, (x3-x)/(x3-x2)), 0) with shoulder rules.
+
+    The comparisons below are the ones the builtin ``min``/``max`` make,
+    in the same order, so the result is theirs without the call overhead.
+    """
+    x0, x1, x2, x3 = mf.x0, mf.x1, mf.x2, mf.x3
+    if x1 > x0:
+        degree = (x - x0) / (x1 - x0)
     else:
-        left = 1.0 if x >= mf.x1 else 0.0
-    if mf.x3 > mf.x2:
-        right = (mf.x3 - x) / (mf.x3 - mf.x2)
+        degree = 1.0 if x >= x1 else 0.0
+    if 1.0 < degree:
+        degree = 1.0
+    if x3 > x2:
+        right = (x3 - x) / (x3 - x2)
     else:
-        right = 1.0 if x <= mf.x2 else 0.0
-    return max(0.0, min(left, 1.0, right))
+        right = 1.0 if x <= x2 else 0.0
+    if right < degree:
+        degree = right
+    return degree if degree > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -90,7 +99,38 @@ class LinguisticVariable:
 
     def term_centroid(self, name: str) -> float:
         """COG of the unclipped term, used for tie-breaking labels."""
-        return _term_cog(self.term(name), self.universe)
+        cog = self._centroids.get(name)
+        if cog is None:
+            # An unknown name raises KeyError here, a single-point term
+            # NoActivationError.
+            return _piecewise_cog([(1.0, self.term(name))], self.universe)
+        return cog
+
+    # Lookup tables, built on first use and kept in the instance __dict__
+    # (cached_property writes there directly, so it works on a frozen
+    # dataclass and never enters __eq__ or __hash__).
+
+    @cached_property
+    def _atoms(self) -> tuple[tuple[tuple[str, str], TrapezoidMF], ...]:
+        """((variable, term), mf) for every term: the keys fuzzify writes."""
+        return tuple(((self.name, term), mf) for term, mf in self.terms)
+
+    @cached_property
+    def _centroids(self) -> dict[str, float]:
+        """Term -> centroid, for every term with non-zero area."""
+        cogs = {}
+        for term, mf in self.terms:
+            try:
+                cogs[term] = _piecewise_cog([(1.0, mf)], self.universe)
+            except NoActivationError:
+                pass
+        return cogs
+
+    @cached_property
+    def _ranked_terms(self) -> tuple[tuple[str, TrapezoidMF, float], ...]:
+        """(term, mf, centroid) for every term, in declaration order."""
+        return tuple((term, mf, self.term_centroid(term))
+                     for term, mf in self.terms)
 
 
 @dataclass(frozen=True)
@@ -99,13 +139,17 @@ class VariableConfig:
     output: LinguisticVariable
 
     def input(self, name: str) -> LinguisticVariable:
-        for var in self.inputs:
-            if var.name == name:
-                return var
-        raise KeyError(f"unknown input variable {name!r}")
+        var = self._inputs_by_name.get(name)
+        if var is None:
+            raise KeyError(f"unknown input variable {name!r}")
+        return var
 
     def input_names(self) -> list[str]:
         return [v.name for v in self.inputs]
+
+    @cached_property
+    def _inputs_by_name(self) -> dict[str, LinguisticVariable]:
+        return {v.name: v for v in reversed(self.inputs)}  # first one wins
 
 
 @dataclass(frozen=True)
@@ -136,6 +180,24 @@ class RuleBase:
                 missing.append(combo)
         return missing
 
+    # Dispatch tables for infer, built on first use like LinguisticVariable's.
+
+    @cached_property
+    def _atom_masks(self) -> tuple[tuple[tuple[str, str], int], ...]:
+        """(atom, bit set of the rules whose antecedent names it); rule i is
+        bit 1 << i."""
+        masks: dict[tuple[str, str], int] = {}
+        for i, rule in enumerate(self.rules):
+            for atom in rule.antecedent:
+                masks[atom] = masks.get(atom, 0) | 1 << i
+        return tuple(masks.items())
+
+    @cached_property
+    def _by_bit(self) -> dict[int, tuple[tuple[tuple[str, str], ...], str]]:
+        """Rule bit -> (antecedent, output term)."""
+        return {1 << i: (rule.antecedent, rule.consequent[1])
+                for i, rule in enumerate(self.rules)}
+
 
 @dataclass(frozen=True)
 class FuzzyOutput:
@@ -159,42 +221,58 @@ def fuzzify(config: VariableConfig,
     degrees: dict[tuple[str, str], float] = {}
     for name, x in inputs.items():
         var = config.input(name)
-        if not var.contains(x):
-            lo, hi = var.universe
+        lo, hi = var.universe
+        if not lo <= x <= hi:
             raise UniverseError(
                 f"{name}={x} outside universe [{lo}, {hi}]")
-        for term, mf in var.terms:
-            degrees[(name, term)] = mf(x)
+        for atom, mf in var._atoms:
+            degrees[atom] = mf_eval(mf, x)
     return degrees
 
 
 def infer(rulebase: RuleBase, config: VariableConfig,
           fuzzified: Mapping[tuple[str, str], float]) -> FuzzyOutput:
+    """Each output term's activation: the max over its rules of the min of
+    the rule's atom degrees (a missing atom has degree 0).
+
+    Only rules whose atoms all have a degree > 0 are scored. Any other rule
+    has strength <= 0, and that never raises an activation, so skipping it
+    changes nothing. The scored rules run in declaration order, so the
+    activations keep their insertion order.
+    """
+    get = fuzzified.get
+    firing = (1 << len(rulebase.rules)) - 1
+    for atom, mask in rulebase._atom_masks:
+        if not get(atom, 0.0) > 0.0:
+            firing &= ~mask
+    by_bit = rulebase._by_bit
     activations: dict[str, float] = {}
-    for rule in rulebase.rules:
-        strength = min(fuzzified.get(atom, 0.0) for atom in rule.antecedent)
-        _, term = rule.consequent
+    while firing:
+        bit = firing & -firing
+        firing ^= bit
+        antecedent, term = by_bit[bit]
+        strength = min(map(get, antecedent))
         if strength > activations.get(term, 0.0):
             activations[term] = strength
     return FuzzyOutput(config.output, activations)
 
 
-def _clipped_segments(mf: TrapezoidMF, act: float,
-                      lo: float, hi: float) -> list[tuple[float, float, float, float]]:
+def _segments(mf: TrapezoidMF,
+              act: float) -> list[tuple[float, float, float, float]]:
     """Linear pieces (xa, xb, slope, intercept) of min(act, mf) where positive."""
-    xe1 = mf.x0 + act * (mf.x1 - mf.x0)
-    xe2 = mf.x3 - act * (mf.x3 - mf.x2)
-    segments = []
-    if xe1 > mf.x0:
-        slope = act / (xe1 - mf.x0)
-        segments.append((mf.x0, xe1, slope, -slope * mf.x0))
+    x0, x3 = mf.x0, mf.x3
+    xe1 = x0 + act * (mf.x1 - x0)
+    xe2 = x3 - act * (x3 - mf.x2)
+    pieces = []
+    if xe1 > x0:
+        slope = act / (xe1 - x0)
+        pieces.append((x0, xe1, slope, -slope * x0))
     if xe2 > xe1:
-        segments.append((xe1, xe2, 0.0, act))
-    if mf.x3 > xe2:
-        slope = -act / (mf.x3 - xe2)
-        segments.append((xe2, mf.x3, slope, -slope * mf.x3))
-    return [(max(xa, lo), min(xb, hi), s, b)
-            for xa, xb, s, b in segments if xa < hi and xb > lo]
+        pieces.append((xe1, xe2, 0.0, act))
+    if x3 > xe2:
+        slope = -act / (x3 - xe2)
+        pieces.append((xe2, x3, slope, -slope * x3))
+    return pieces
 
 
 def _piecewise_cog(active: list[tuple[float, TrapezoidMF]],
@@ -209,41 +287,46 @@ def _piecewise_cog(active: list[tuple[float, TrapezoidMF]],
     segments: list[tuple[float, float, float, float]] = []
     cuts = {lo, hi}
     for act, mf in active:
-        for seg in _clipped_segments(mf, act, lo, hi):
-            segments.append(seg)
-            cuts.add(seg[0])
-            cuts.add(seg[1])
-    for i, (xa1, xb1, s1, b1) in enumerate(segments):
-        for xa2, xb2, s2, b2 in segments[i + 1:]:
-            if s1 == s2:
+        for xa2, xb2, s2, b2 in _segments(mf, act):
+            if not (xa2 < hi and xb2 > lo):
                 continue
-            x = (b2 - b1) / (s1 - s2)
-            if max(xa1, xa2, lo) < x < min(xb1, xb2, hi):
-                cuts.add(x)
+            if lo > xa2:        # max(xa2, lo) and min(xb2, hi), inlined
+                xa2 = lo
+            if hi < xb2:
+                xb2 = hi
+            cuts.add(xa2)
+            cuts.add(xb2)
+            # A crossing is a cut only inside both x-ranges, so pairs whose
+            # ranges do not overlap are rejected before dividing. This also
+            # rejects two pieces of one term, which meet at a breakpoint
+            # (already a cut), except where rounding makes the rising and
+            # falling pieces of a peak overlap: those still get the test.
+            for xa1, xb1, s1, b1 in segments:
+                if xa2 < xb1 and xa1 < xb2 and s1 != s2:
+                    x = (b2 - b1) / (s1 - s2)
+                    if max(xa1, xa2, lo) < x < min(xb1, xb2, hi):
+                        cuts.add(x)
+            segments.append((xa2, xb2, s2, b2))
 
-    def aggregate(x: float) -> float:
+    xs = sorted(cuts)
+    fs = []             # the aggregate at each cut, evaluated once
+    for x in xs:
         value = 0.0
         for xa, xb, s, b in segments:
             if xa <= x <= xb:
-                value = max(value, s * x + b)
-        return value
-
-    xs = sorted(cuts)
+                y = s * x + b
+                if y > value:
+                    value = y
+        fs.append(value)
     moment = 0.0
     mass = 0.0
-    for a, b in zip(xs, xs[1:]):
-        fa, fb = aggregate(a), aggregate(b)
+    for a, b, fa, fb in zip(xs, xs[1:], fs, fs[1:]):
         width = b - a
         mass += width * (fa + fb) / 2.0
         moment += width * (fa * (2.0 * a + b) + fb * (a + 2.0 * b)) / 6.0
     if mass <= 0.0:
         raise NoActivationError("aggregated membership is identically zero")
     return moment / mass
-
-
-@lru_cache(maxsize=256)
-def _term_cog(mf: TrapezoidMF, universe: tuple[float, float]) -> float:
-    return _piecewise_cog([(1.0, mf)], universe)
 
 
 def defuzzify_cog(output: FuzzyOutput,
@@ -264,11 +347,12 @@ def label(variable: LinguisticVariable, crisp: float) -> str:
     if not lo <= crisp <= hi:
         raise ValueError(f"{crisp} outside universe [{lo}, {hi}]")
     best_term = None
-    best = (-1.0, -1.0)
-    for term, mf in variable.terms:
-        key = (mf(crisp), variable.term_centroid(term))
-        if key > best:
-            best = key
+    best_degree = best_cog = -1.0
+    for term, mf, cog in variable._ranked_terms:
+        degree = mf_eval(mf, crisp)
+        # (degree, cog) > (best_degree, best_cog), without the tuples
+        if degree > best_degree or (degree == best_degree and cog > best_cog):
+            best_degree, best_cog = degree, cog
             best_term = term
     assert best_term is not None
     return best_term

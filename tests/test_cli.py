@@ -162,6 +162,20 @@ class TestPrioritize:
             f"error: {rules}: line 1, column 1: input variables must be "
             "impact, cost and tech, got impact, cost, skill\n")
 
+    def test_rulebase_with_two_outputs_exits_one(self, runner, obs_path,
+                                                 tmp_path):
+        rules = _rules_file(
+            tmp_path, "VAR_OUTPUT priority",
+            "VAR_OUTPUT urgency\n    RANGE := (0.0 .. 1.0);\n"
+            "    TERM soon := (0, 0, 0.5, 1);\nEND_VAR\n\nVAR_OUTPUT priority")
+        text = open(rules).read().splitlines()
+        line = [n for n, raw in enumerate(text, start=1) if raw == "END_VAR"][-1]
+        result = _invoke(runner, "prioritize", obs_path, "--rules", rules)
+        assert result.exit_code == 1
+        assert result.output == (
+            f"error: {rules}: line {line}, column 1: second output variable "
+            "priority; urgency is already the output\n")
+
     def test_default_goal_is_root(self, runner, obs_path):
         explicit = _invoke(runner, "prioritize", obs_path, "--goal", "S")
         implicit = _invoke(runner, "prioritize", obs_path)

@@ -87,3 +87,14 @@ class TestParseRulebase:
                             "TERM weak := (0.5, 0.2, 0.3, 0.5);")
         with pytest.raises(FclError, match="ordered"):
             parse_rulebase(bad)
+
+    def test_second_output_variable_rejected_at_its_end_var(self):
+        urgency = ("VAR_OUTPUT urgency\n    RANGE := (0.0 .. 1.0);\n"
+                   "    TERM soon := (0, 0, 0.5, 1);\nEND_VAR\n")
+        bad = SMALL.replace("VAR_OUTPUT priority", urgency + "VAR_OUTPUT priority")
+        end_var = [n for n, line in enumerate(bad.splitlines(), start=1)
+                   if line == "END_VAR"][-1]
+        with pytest.raises(FclError, match="second output variable priority; "
+                                           "urgency is already the output") as exc:
+            parse_rulebase(bad)
+        assert (exc.value.line, exc.value.column) == (end_var, 1)

@@ -1,0 +1,320 @@
+"""The compiled inference kernel against the straightforward one it replaced.
+
+The ``_ref_*`` functions are the earlier ``paps.fuzzy`` code, copied
+verbatim except for dropped annotations and calls that go to each other
+(``mf(x)`` is ``_ref_mf_eval``, ``term_centroid`` is ``_ref_term_cog``), so
+nothing here reads the lookup tables under test. Every comparison is exact: the same
+float bits, the same activation keys in the same order, the same labels,
+and the same exceptions.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+import paps
+from paps.fuzzy import (FuzzyOutput, FuzzyRule, LinguisticVariable,
+                        NoActivationError, RuleBase, TrapezoidMF,
+                        UniverseError, VariableConfig, defuzzify_cog, fuzzify,
+                        infer, label)
+
+
+# --- reference --------------------------------------------------------------
+
+def _ref_mf_eval(mf, x):
+    """max(min((x-x0)/(x1-x0), 1, (x3-x)/(x3-x2)), 0) with shoulder rules."""
+    if mf.x1 > mf.x0:
+        left = (x - mf.x0) / (mf.x1 - mf.x0)
+    else:
+        left = 1.0 if x >= mf.x1 else 0.0
+    if mf.x3 > mf.x2:
+        right = (mf.x3 - x) / (mf.x3 - mf.x2)
+    else:
+        right = 1.0 if x <= mf.x2 else 0.0
+    return max(0.0, min(left, 1.0, right))
+
+
+def _ref_fuzzify(config, inputs):
+    degrees = {}
+    for name, x in inputs.items():
+        var = config.input(name)
+        if not var.contains(x):
+            lo, hi = var.universe
+            raise UniverseError(
+                f"{name}={x} outside universe [{lo}, {hi}]")
+        for term, mf in var.terms:
+            degrees[(name, term)] = _ref_mf_eval(mf, x)
+    return degrees
+
+
+def _ref_infer(rulebase, config, fuzzified):
+    activations = {}
+    for rule in rulebase.rules:
+        strength = min(fuzzified.get(atom, 0.0) for atom in rule.antecedent)
+        _, term = rule.consequent
+        if strength > activations.get(term, 0.0):
+            activations[term] = strength
+    return FuzzyOutput(config.output, activations)
+
+
+def _ref_clipped_segments(mf, act, lo, hi):
+    """Linear pieces (xa, xb, slope, intercept) of min(act, mf) where positive."""
+    xe1 = mf.x0 + act * (mf.x1 - mf.x0)
+    xe2 = mf.x3 - act * (mf.x3 - mf.x2)
+    segments = []
+    if xe1 > mf.x0:
+        slope = act / (xe1 - mf.x0)
+        segments.append((mf.x0, xe1, slope, -slope * mf.x0))
+    if xe2 > xe1:
+        segments.append((xe1, xe2, 0.0, act))
+    if mf.x3 > xe2:
+        slope = -act / (mf.x3 - xe2)
+        segments.append((xe2, mf.x3, slope, -slope * mf.x3))
+    return [(max(xa, lo), min(xb, hi), s, b)
+            for xa, xb, s, b in segments if xa < hi and xb > lo]
+
+
+def _ref_piecewise_cog(active, universe):
+    lo, hi = universe
+    segments = []
+    cuts = {lo, hi}
+    for act, mf in active:
+        for seg in _ref_clipped_segments(mf, act, lo, hi):
+            segments.append(seg)
+            cuts.add(seg[0])
+            cuts.add(seg[1])
+    for i, (xa1, xb1, s1, b1) in enumerate(segments):
+        for xa2, xb2, s2, b2 in segments[i + 1:]:
+            if s1 == s2:
+                continue
+            x = (b2 - b1) / (s1 - s2)
+            if max(xa1, xa2, lo) < x < min(xb1, xb2, hi):
+                cuts.add(x)
+
+    def aggregate(x):
+        value = 0.0
+        for xa, xb, s, b in segments:
+            if xa <= x <= xb:
+                value = max(value, s * x + b)
+        return value
+
+    xs = sorted(cuts)
+    moment = 0.0
+    mass = 0.0
+    for a, b in zip(xs, xs[1:]):
+        fa, fb = aggregate(a), aggregate(b)
+        width = b - a
+        mass += width * (fa + fb) / 2.0
+        moment += width * (fa * (2.0 * a + b) + fb * (a + 2.0 * b)) / 6.0
+    if mass <= 0.0:
+        raise NoActivationError("aggregated membership is identically zero")
+    return moment / mass
+
+
+def _ref_term_cog(mf, universe):
+    return _ref_piecewise_cog([(1.0, mf)], universe)
+
+
+def _ref_defuzzify_cog(output, universe=None):
+    active = [(output.activations.get(term, 0.0), mf)
+              for term, mf in output.variable.terms
+              if output.activations.get(term, 0.0) > 0.0]
+    return _ref_piecewise_cog(active, universe or output.variable.universe)
+
+
+def _ref_label(variable, crisp):
+    lo, hi = variable.universe
+    if not lo <= crisp <= hi:
+        raise ValueError(f"{crisp} outside universe [{lo}, {hi}]")
+    best_term = None
+    best = (-1.0, -1.0)
+    for term, mf in variable.terms:
+        key = (_ref_mf_eval(mf, crisp),
+               _ref_term_cog(variable.term(term), variable.universe))
+        if key > best:
+            best = key
+            best_term = term
+    assert best_term is not None
+    return best_term
+
+
+# --- comparison helpers -----------------------------------------------------
+
+def _exact(value):
+    """A value with its floats as bit strings, so == compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return [(k, _exact(v)) for k, v in value.items()]  # keeps key order
+    return value
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", _exact(fn(*args))
+    except (NoActivationError, ValueError, KeyError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# --- strategies -------------------------------------------------------------
+
+@st.composite
+def universes(draw):
+    lo = draw(st.sampled_from([0.0, -1.0, -3.0, 2.5])
+              | st.floats(-10, 10, allow_subnormal=False))
+    width = draw(st.sampled_from([1.0, 6.0, 0.25])
+                 | st.floats(0.01, 20, allow_subnormal=False))
+    return (lo, lo + width)
+
+
+@st.composite
+def trapezoids(draw, universe):
+    lo, hi = universe
+    point = st.sampled_from([lo, hi]) | st.floats(lo, hi)
+    xs = sorted(draw(st.lists(point, min_size=4, max_size=4)))
+    shape = draw(st.sampled_from(
+        ["any", "left shoulder", "right shoulder", "triangle", "point"]))
+    if shape == "left shoulder":
+        xs[1] = xs[0]
+    elif shape == "right shoulder":
+        xs[2] = xs[3]
+    elif shape == "triangle":
+        xs[2] = xs[1]
+    elif shape == "point":
+        xs = [xs[0]] * 4
+    return TrapezoidMF(*xs)
+
+
+@st.composite
+def variables(draw, name):
+    universe = draw(universes())
+    n = draw(st.integers(1, 4))
+    terms = tuple((f"t{i}", draw(trapezoids(universe))) for i in range(n))
+    return LinguisticVariable(name, universe, terms)
+
+
+@st.composite
+def systems(draw):
+    """A variable config and a rule base over 1-3 inputs; a rule may name
+    any non-empty subset of the inputs, in any order."""
+    inputs = tuple(draw(variables(f"v{i}"))
+                   for i in range(draw(st.integers(1, 3))))
+    output = draw(variables("out"))
+    rules = []
+    for k in range(draw(st.integers(1, 12))):
+        named = draw(st.lists(st.sampled_from(inputs), min_size=1,
+                              max_size=len(inputs),
+                              unique_by=lambda v: v.name))
+        antecedent = tuple((v.name, draw(st.sampled_from(v.term_names())))
+                           for v in named)
+        consequent = (output.name, draw(st.sampled_from(output.term_names())))
+        rules.append(FuzzyRule(str(k), antecedent, consequent))
+    return VariableConfig(inputs, output), RuleBase(tuple(rules))
+
+
+@st.composite
+def fuzzified_degrees(draw, config):
+    """Degrees for some atoms: missing ones, zeros, ones and fractions."""
+    degrees = {}
+    for var in config.inputs:
+        for term in var.term_names():
+            degree = draw(st.none() | st.sampled_from([0.0, 1.0])
+                          | st.floats(0, 1))
+            if degree is not None:
+                degrees[(var.name, term)] = degree
+    return degrees
+
+
+# --- properties -------------------------------------------------------------
+
+def _check_output(config, output, expected, universe=None):
+    assert output.variable is config.output
+    assert _exact(output.activations) == _exact(expected.activations)
+    rds = _outcome(defuzzify_cog, output, universe)
+    assert rds == _outcome(_ref_defuzzify_cog, expected, universe)
+    if rds[0] == "ok":
+        crisp = float.fromhex(rds[1])
+        assert (_outcome(label, config.output, crisp)
+                == _outcome(_ref_label, config.output, crisp))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_infer_defuzzify_label_match_reference(data):
+    config, rulebase = data.draw(systems())
+    fuzzified = data.draw(fuzzified_degrees(config))
+    universe = data.draw(st.none() | universes())
+    _check_output(config, infer(rulebase, config, fuzzified),
+                  _ref_infer(rulebase, config, fuzzified), universe)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fuzzify_matches_reference(data):
+    config, rulebase = data.draw(systems())
+    inputs = {}
+    for var in data.draw(st.permutations(config.inputs)):
+        lo, hi = var.universe
+        inputs[var.name] = data.draw(st.sampled_from([lo, hi, -0.0])
+                                     | st.floats(lo - 1, hi + 1))
+    outcome = _outcome(fuzzify, config, inputs)
+    assert outcome == _outcome(_ref_fuzzify, config, inputs)
+    if outcome[0] == "ok":
+        _check_output(config,
+                      infer(rulebase, config, fuzzify(config, inputs)),
+                      _ref_infer(rulebase, config,
+                                 _ref_fuzzify(config, inputs)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_label_and_centroids_match_reference(data):
+    var = data.draw(variables("out"))
+    lo, hi = var.universe
+    crisp = data.draw(st.sampled_from([lo, hi, -0.0])
+                      | st.floats(lo - 1, hi + 1))
+    assert _outcome(label, var, crisp) == _outcome(_ref_label, var, crisp)
+    for term, mf in var.terms:
+        assert (_outcome(var.term_centroid, term)
+                == _outcome(_ref_term_cog, mf, var.universe))
+    assert (_outcome(var.term_centroid, "no-such-term")
+            == ("KeyError", "'unknown term out.no-such-term'"))
+
+
+def test_default_rulebase_on_random_triples():
+    config, rulebase = paps.load_default_rulebase()
+    rng = random.Random(4)
+    for _ in range(2_000):
+        inputs = {"impact": rng.choice([0.0, 0.5, 1.0, rng.random()]),
+                  "cost": rng.random(), "tech": rng.random()}
+        degrees = fuzzify(config, inputs)
+        assert _exact(degrees) == _exact(_ref_fuzzify(config, inputs))
+        _check_output(config, infer(rulebase, config, degrees),
+                      _ref_infer(rulebase, config, degrees))
+
+
+def test_peak_whose_pieces_overlap_by_rounding():
+    # At activation 1 the rising piece of this triangle ends one rounding
+    # step after its falling piece starts, and their crossing lies between:
+    # it is a cut, and leaving it out changes the last bits of the centroid.
+    mf = TrapezoidMF(-1.9421827049431453, 0.6258562888564674,
+                     0.6258562888564674, 0.9486545699513971)
+    universe = (-3.0, 3.0)
+    (xa1, xb1, s1, b1), (xa2, xb2, s2, b2) = _ref_clipped_segments(
+        mf, 1.0, *universe)
+    assert xa2 < xb1 < xb2
+    assert xa2 < (b2 - b1) / (s1 - s2) < xb1
+    var = LinguisticVariable("out", universe, (("peak", mf),))
+    output = FuzzyOutput(var, {"peak": 1.0})
+    assert (defuzzify_cog(output).hex()
+            == _ref_defuzzify_cog(output).hex() == "-0x1.f5fe9fe453404p-4")
+
+
+def test_negative_zero_input_has_degree_plus_zero():
+    # (x - x0) is -0.0 here; max(0.0, ...) turns that into +0.0.
+    var = LinguisticVariable("v0", (0.0, 1.0),
+                             (("rising", TrapezoidMF(0.0, 0.5, 0.5, 1.0)),))
+    config = VariableConfig((var,), var)
+    degrees = fuzzify(config, {"v0": -0.0})
+    assert _exact(degrees) == _exact(_ref_fuzzify(config, {"v0": -0.0}))
+    assert _exact(degrees) == [(("v0", "rising"), "0x0.0p+0")]

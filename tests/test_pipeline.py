@@ -101,6 +101,33 @@ class TestPrioritize:
             config.output.term_centroid("optional"))
 
 
+class TestStageCalls:
+    """prioritize calls each fuzzy stage by its paps.pipeline name, once per
+    entry, so wrappers installed there see every inference."""
+
+    STAGES = ("fuzzify", "infer", "defuzzify_cog", "label")
+
+    def test_each_stage_runs_once_per_entry(self, obs, default_fis,
+                                            monkeypatch):
+        import paps.pipeline as pipeline
+        model, risk = obs
+        calls = dict.fromkeys(self.STAGES, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        expected = prioritize(model, risk, "S", *default_fis)
+        for name in self.STAGES:
+            monkeypatch.setattr(pipeline, name,
+                                counting(name, getattr(pipeline, name)))
+        entries = pipeline.prioritize(model, risk, "S", *default_fis)
+        assert entries == expected
+        assert calls == dict.fromkeys(self.STAGES, len(entries))
+
+
 class TestReports:
     def test_csv_fields(self, obs, default_fis):
         model, risk = obs
