@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 validation/parse/domain failure, 2 I/O or usage.
 from __future__ import annotations
 
 import sys
+from typing import Callable
 
 import click
 
@@ -14,7 +15,7 @@ from .fcl import FclError, parse_rulebase
 from .fuzzy import UniverseError
 from .impact import impact_matrix
 from .model import validate_model
-from .pipeline import prioritize, report_csv, report_json
+from .pipeline import prioritize, report_csv, report_json, report_table
 from .relax import RenderError, relax_json, relax_srl, relax_text
 from .srm import SrmError, parse_model
 
@@ -74,15 +75,6 @@ def _emit(text: str, out: str | None) -> None:
             raise _IOFailure(str(exc)) from exc
 
 
-def _ascii_table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) if rows
-              else len(header[i]) for i in range(len(header))]
-    def fmt(cells):
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-    rule = "  ".join("-" * w for w in widths)
-    return "\n".join([fmt(header), rule] + [fmt(r) for r in rows]) + "\n"
-
-
 _model_arg = click.argument("model_path", type=click.Path(exists=True, dir_okay=False))
 _goal_opt = click.option("--goal", "goal", default=None,
                          help="Restrict to one goal (default: all / the root).")
@@ -137,6 +129,25 @@ def impacts(model_path: str, goal: str | None, fmt: str, out: str | None) -> Non
     _emit(render(None if goal is None else [goal]), out)
 
 
+def _for_goal(model_path: str, goal: str | None, rules_path: str | None,
+              run: Callable):
+    """``run(model, risk, goal, config, rulebase)`` on a valid model, goal
+    (default: the root) and rule base; any failure is reported on stderr
+    and ends the command with exit code 1."""
+    model, risk = _load_model(model_path)
+    _check_valid(model, risk)
+    config, rulebase = _load_rules(rules_path)
+    target = goal or model.root
+    if target not in model.goal_ids():
+        _fail(f"unknown goal {target!r}")
+    try:
+        return run(model, risk, target, config, rulebase)
+    except RenderError as exc:
+        _fail(str(exc))
+    except (FclError, UniverseError) as exc:
+        _fail(f"{_rules_source(rules_path)}: {exc}")
+
+
 @main.command("prioritize")
 @_model_arg
 @_goal_opt
@@ -146,25 +157,10 @@ def impacts(model_path: str, goal: str | None, fmt: str, out: str | None) -> Non
 def prioritize_cmd(model_path: str, goal: str | None, rules_path: str | None,
                    fmt: str, out: str | None) -> None:
     """Rank the requirements contributing to a goal (default: the root)."""
-    model, risk = _load_model(model_path)
-    _check_valid(model, risk)
-    config, rulebase = _load_rules(rules_path)
-    target = goal or model.root
-    if target not in model.goal_ids():
-        _fail(f"unknown goal {target!r}")
-    try:
-        entries = prioritize(model, risk, target, config, rulebase)
-    except (FclError, UniverseError) as exc:
-        _fail(f"{_rules_source(rules_path)}: {exc}")
-    if fmt == "json":
-        _emit(report_json(entries), out)
-    elif fmt == "csv":
-        _emit(report_csv(entries), out)
-    else:
-        rows = [[e.goal, e.requirement, f"{e.impact:.2f}", f"{e.cost:.2f}",
-                 f"{e.tech:.2f}", f"{e.rds:.4f}", e.label] for e in entries]
-        _emit(_ascii_table(["goal", "requirement", "impact", "cost", "tech",
-                            "rds", "label"], rows), out)
+    entries = _for_goal(model_path, goal, rules_path, prioritize)
+    render = {"json": report_json, "csv": report_csv,
+              "table": report_table}[fmt]
+    _emit(render(entries), out)
 
 
 @main.command("relax")
@@ -177,20 +173,9 @@ def prioritize_cmd(model_path: str, goal: str | None, rules_path: str | None,
 def relax_cmd(model_path: str, goal: str | None, rules_path: str | None,
               fmt: str, out: str | None) -> None:
     """Emit relaxed requirement statements for a goal (default: the root)."""
-    model, risk = _load_model(model_path)
-    _check_valid(model, risk)
-    config, rulebase = _load_rules(rules_path)
-    target = goal or model.root
-    if target not in model.goal_ids():
-        _fail(f"unknown goal {target!r}")
-    try:
-        statements = relax_srl(model, risk, target, config, rulebase)
-    except RenderError as exc:
-        _fail(str(exc))
-    except (FclError, UniverseError) as exc:
-        _fail(f"{_rules_source(rules_path)}: {exc}")
-    _emit(relax_json(statements) if fmt == "json" else relax_text(statements),
-          out)
+    statements = _for_goal(model_path, goal, rules_path, relax_srl)
+    render = {"json": relax_json, "table": relax_text}[fmt]
+    _emit(render(statements), out)
 
 
 if __name__ == "__main__":

@@ -116,6 +116,12 @@ def parse_rulebase(text: str) -> tuple[VariableConfig, RuleBase]:
                     mf = TrapezoidMF(*(float(m.group(i)) for i in range(2, 6)))
                 except ValueError as exc:
                     raise FclError(lineno, col, str(exc)) from exc
+                # Labels and the no-activation fallback read every output
+                # term's centroid, and a term of zero area has none.
+                if section == "output" and not mf.x3 > mf.x0:
+                    raise FclError(lineno, col,
+                                   f"output term {var_name}.{name} has zero "
+                                   "area")
                 var_terms.append((name, mf))
                 continue
             raise FclError(lineno, col,

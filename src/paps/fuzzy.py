@@ -329,13 +329,12 @@ def _piecewise_cog(active: list[tuple[float, TrapezoidMF]],
     return moment / mass
 
 
-def defuzzify_cog(output: FuzzyOutput,
-                  universe: tuple[float, float] | None = None) -> float:
+def defuzzify_cog(output: FuzzyOutput) -> float:
     """Centroid of the aggregated output over its universe."""
     active = [(output.activations.get(term, 0.0), mf)
               for term, mf in output.variable.terms
               if output.activations.get(term, 0.0) > 0.0]
-    return _piecewise_cog(active, universe or output.variable.universe)
+    return _piecewise_cog(active, output.variable.universe)
 
 
 def label(variable: LinguisticVariable, crisp: float) -> str:

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from typing import Iterator
 
+from . import render
 from .fcl import FclError
 from .fuzzy import (NoActivationError, RuleBase, UniverseError, VariableConfig,
                     defuzzify_cog, fuzzify, infer, label, short_label)
@@ -79,25 +80,23 @@ def prioritize(model: SecurityModel, risk: RiskProfile, goal: str,
 REPORT_FIELDS = ("goal", "requirement", "impact", "cost", "tech", "rds", "label")
 
 
-def report_rows(entries: list[PrioritizedEntry]) -> list[dict]:
-    rows = []
-    for e in entries:
-        rows.append({"goal": e.goal, "requirement": e.requirement,
-                     "impact": e.impact, "cost": e.cost, "tech": e.tech,
-                     "rds": round(e.rds, 4), "label": e.label,
-                     "no_activation": e.no_activation})
-    return rows
+def report_cells(entries: list[PrioritizedEntry]) -> Iterator[list[str]]:
+    """One row of formatted cells per entry, in ``REPORT_FIELDS`` order."""
+    return ([e.goal, e.requirement, f"{e.impact:.2f}", f"{e.cost:.2f}",
+             f"{e.tech:.2f}", f"{e.rds:.4f}", e.label] for e in entries)
+
+
+def report_table(entries: list[PrioritizedEntry]) -> str:
+    return render.table(REPORT_FIELDS, report_cells(entries))
 
 
 def report_csv(entries: list[PrioritizedEntry]) -> str:
-    lines = [",".join(REPORT_FIELDS)]
-    for e in entries:
-        lines.append(",".join([
-            e.goal, e.requirement,
-            f"{e.impact:.2f}", f"{e.cost:.2f}", f"{e.tech:.2f}",
-            f"{e.rds:.4f}", e.label]))
-    return "\n".join(lines) + "\n"
+    return render.csv(REPORT_FIELDS, report_cells(entries))
 
 
 def report_json(entries: list[PrioritizedEntry]) -> str:
-    return json.dumps(report_rows(entries), indent=2) + "\n"
+    return render.json_rows([
+        {"goal": e.goal, "requirement": e.requirement, "impact": e.impact,
+         "cost": e.cost, "tech": e.tech, "rds": round(e.rds, 4),
+         "label": e.label, "no_activation": e.no_activation}
+        for e in entries])

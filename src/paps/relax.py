@@ -7,10 +7,10 @@ symbolic (OV_6) unless the model supplies a numeric ov attribute.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
+from . import render
 from .fuzzy import RuleBase, VariableConfig
 from .model import Requirement, RiskProfile, SecurityModel
 from .pipeline import prioritize
@@ -67,11 +67,11 @@ def relax_text(statements: list[RelaxedStatement]) -> str:
 
 
 def relax_json(statements: list[RelaxedStatement]) -> str:
-    rows = [{"requirement": s.requirement, "metric": s.metric,
-             "connector": s.connector, "rds": round(s.rds, 4),
-             "ov": s.ov_symbol, "rendered": s.rendered}
-            for s in statements]
-    return json.dumps(rows, indent=2, ensure_ascii=False) + "\n"
+    return render.json_rows([
+        {"requirement": s.requirement, "metric": s.metric,
+         "connector": s.connector, "rds": round(s.rds, 4),
+         "ov": s.ov_symbol, "rendered": s.rendered}
+        for s in statements])
 
 
 @dataclass(frozen=True)

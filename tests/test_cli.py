@@ -85,6 +85,16 @@ class TestImpacts:
         assert first.output == second.output
 
 
+    def test_model_without_requirements(self, runner, tmp_path):
+        path = tmp_path / "noreq.srm"
+        path.write_text('goal S "s"\ngoal G1 "g"\nrule P1: S -> G1 @ 0.5\n')
+        outputs = {fmt: _invoke(runner, "impacts", str(path), "--format", fmt)
+                   for fmt in ("csv", "table", "json")}
+        assert all(r.exit_code == 0 for r in outputs.values())
+        assert outputs["csv"].output == "goal\nS\nG1\n"
+        assert outputs["table"].output == "goal\n----\nS\nG1\n"
+        assert json.loads(outputs["json"].output) == {"S": {}, "G1": {}}
+
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_goal_option_prints_that_row_of_the_full_matrix(
             self, runner, obs_path, fmt):
@@ -175,6 +185,20 @@ class TestPrioritize:
         assert result.output == (
             f"error: {rules}: line {line}, column 1: second output variable "
             "priority; urgency is already the output\n")
+
+    @pytest.mark.parametrize("command", ["prioritize", "relax"])
+    def test_zero_area_output_term_exits_one(self, runner, obs_path,
+                                            tmp_path, command):
+        term = "    TERM weak := (0.2, 0.2, 0.2, 0.2);"
+        rules = _rules_file(tmp_path, "    TERM weak := (0.1, 0.2, 0.3, 0.4);",
+                            term)
+        line = open(rules).read().splitlines().index(term) + 1
+        result = _invoke(runner, command, obs_path, "--rules", rules)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            f"error: {rules}: line {line}, column 5: output term "
+            "priority.weak has zero area\n")
 
     def test_default_goal_is_root(self, runner, obs_path):
         explicit = _invoke(runner, "prioritize", obs_path, "--goal", "S")

@@ -98,3 +98,18 @@ class TestParseRulebase:
                                            "urgency is already the output") as exc:
             parse_rulebase(bad)
         assert (exc.value.line, exc.value.column) == (end_var, 1)
+
+    def test_zero_area_output_term_rejected_at_its_term_line(self):
+        bad = SMALL.replace("TERM weak := (0, 0.2, 0.3, 0.5);",
+                            "TERM weak := (0.2, 0.2, 0.2, 0.2);")
+        line = bad.splitlines().index("    TERM weak := (0.2, 0.2, 0.2, 0.2);")
+        with pytest.raises(FclError, match="output term priority.weak has "
+                                           "zero area") as exc:
+            parse_rulebase(bad)
+        assert (exc.value.line, exc.value.column) == (line + 1, 5)
+
+    def test_zero_area_input_term_accepted(self):
+        config, _ = parse_rulebase(SMALL.replace(
+            "    TERM high := (0.5, 0.75, 1, 1);",
+            "    TERM high := (1, 1, 1, 1);", 1))
+        assert config.input("impact").term("high").x0 == 1.0

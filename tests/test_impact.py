@@ -233,10 +233,11 @@ def messy_dags(draw):
 
 
 def _csv_reference(matrix, goals):
-    lines = ["goal," + ",".join(matrix.requirements)]
+    # No requirement columns: the lines are "goal" and the bare goal ids.
+    lines = [",".join(["goal", *matrix.requirements])]
     for g in goals:
-        lines.append(g + "," + ",".join(
-            f"{matrix.get(g, r):.2f}" for r in matrix.requirements))
+        lines.append(",".join(
+            [g, *(f"{matrix.get(g, r):.2f}" for r in matrix.requirements)]))
     return "\n".join(lines) + "\n"
 
 
