@@ -3,11 +3,10 @@
 from importlib import resources
 
 from .fcl import FclError, parse_rulebase
-from .fuzzy import (FuzzyOutput, FuzzyRule, LinguisticVariable,
-                    NoActivationError, RuleBase, TrapezoidMF, UniverseError,
-                    VariableConfig, defuzzify_cog, fuzzify, infer, label,
-                    mf_eval)
-from .impact import (ImpactMatrix, OracleSizeError, Srl, brute_force_impact,
+from .fuzzy import (FuzzyRule, LinguisticVariable, NoActivationError,
+                    RuleBase, TrapezoidMF, UniverseError, VariableConfig,
+                    defuzzify_cog, fuzzify, infer, label, mf_eval)
+from .impact import (ImpactMatrix, OracleSizeError, brute_force_impact,
                      build_srl, impact, impact_matrix)
 from .model import (DerivationRule, Finding, Goal, Requirement, RiskProfile,
                     SecurityModel, ValidationReport, technical_ability,
@@ -18,7 +17,7 @@ from .relax import (DeviationMembership, RelaxedStatement, RenderError,
                     relax_srl)
 from .srm import SrmError, parse_model, serialize_model
 
-__version__ = "0.1.0"
+__version__ = "0.1.0"  # pyproject.toml reads it from here
 
 
 def default_rules_text() -> str:

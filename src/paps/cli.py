@@ -10,7 +10,7 @@ from typing import Callable
 
 import click
 
-from . import default_rules_text
+from . import __version__, default_rules_text
 from .fcl import FclError, parse_rulebase
 from .fuzzy import UniverseError
 from .impact import impact_matrix
@@ -90,7 +90,7 @@ _out_opt = click.option("--out", "out", default=None,
 
 
 @click.group()
-@click.version_option(package_name="paps")
+@click.version_option(__version__, prog_name="paps")
 def main() -> None:
     """Prioritize and partially select security requirements of a goal model."""
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import re
 
-from .fuzzy import (FuzzyRule, LinguisticVariable, RuleBase, TrapezoidMF,
-                    VariableConfig)
+from .fuzzy import (FuzzyRule, LinguisticVariable, NoActivationError,
+                    RuleBase, TrapezoidMF, VariableConfig)
 
 
 class FclError(Exception):
@@ -61,12 +61,13 @@ def parse_rulebase(text: str) -> tuple[VariableConfig, RuleBase]:
     var_name: str | None = None
     var_range: tuple[float, float] | None = None
     var_terms: list[tuple[str, TrapezoidMF]] = []
+    term_at: dict[str, tuple[int, int]] = {}   # term -> (line, column)
     rules: list[FuzzyRule] = []
     rule_ids: set[str] = set()
     declared: dict[str, LinguisticVariable] = {}
 
     def close_var(lineno: int) -> None:
-        nonlocal output, var_name, var_range, var_terms
+        nonlocal output, var_name, var_range, var_terms, term_at
         assert var_name is not None
         if var_range is None:
             raise FclError(lineno, 1, f"variable {var_name} has no RANGE")
@@ -81,13 +82,22 @@ def parse_rulebase(text: str) -> tuple[VariableConfig, RuleBase]:
         if section == "output" and output is not None:
             raise FclError(lineno, 1, f"second output variable {var.name}; "
                                       f"{output.name} is already the output")
+        # Labels and the no-activation fallback read every output term's
+        # centroid; a term whose area is 0 (x0 == x3, or rounding) has none.
+        if section == "output":
+            for term, at in term_at.items():
+                try:
+                    var.term_centroid(term)
+                except NoActivationError:
+                    raise FclError(*at, f"output term {var.name}.{term} "
+                                        "has zero area") from None
         declared[var.name] = var
         if section == "input":
             inputs.append(var)
         else:
             output = var
         var_name, var_range = None, None
-        var_terms = []
+        var_terms, term_at = [], {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("//", 1)[0].split("#", 1)[0].strip()
@@ -109,20 +119,15 @@ def parse_rulebase(text: str) -> tuple[VariableConfig, RuleBase]:
             m = _TERM_RE.match(line)
             if m:
                 name = m.group(1)
-                if any(t == name for t, _ in var_terms):
+                if name in term_at:
                     raise FclError(lineno, col,
                                    f"duplicate term {var_name}.{name}")
                 try:
                     mf = TrapezoidMF(*(float(m.group(i)) for i in range(2, 6)))
                 except ValueError as exc:
                     raise FclError(lineno, col, str(exc)) from exc
-                # Labels and the no-activation fallback read every output
-                # term's centroid, and a term of zero area has none.
-                if section == "output" and not mf.x3 > mf.x0:
-                    raise FclError(lineno, col,
-                                   f"output term {var_name}.{name} has zero "
-                                   "area")
                 var_terms.append((name, mf))
+                term_at[name] = (lineno, col)
                 continue
             raise FclError(lineno, col,
                            "expected RANGE, TERM, or END_VAR")

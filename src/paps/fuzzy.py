@@ -8,7 +8,7 @@ rather than by sampling; results are exact and platform independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
@@ -39,9 +39,6 @@ class TrapezoidMF:
             raise ValueError(
                 f"breakpoints must be ordered, got "
                 f"({self.x0}, {self.x1}, {self.x2}, {self.x3})")
-
-    def __call__(self, x: float) -> float:
-        return mf_eval(self, x)
 
 
 def mf_eval(mf: TrapezoidMF, x: float) -> float:
@@ -92,10 +89,6 @@ class LinguisticVariable:
             if term == name:
                 return mf
         raise KeyError(f"unknown term {self.name}.{name}")
-
-    def contains(self, x: float) -> bool:
-        lo, hi = self.universe
-        return lo <= x <= hi
 
     def term_centroid(self, name: str) -> float:
         """COG of the unclipped term, used for tie-breaking labels."""
@@ -199,22 +192,6 @@ class RuleBase:
                 for i, rule in enumerate(self.rules)}
 
 
-@dataclass(frozen=True)
-class FuzzyOutput:
-    """Clipped-consequent aggregate: max over terms of min(activation, mf)."""
-
-    variable: LinguisticVariable
-    activations: Mapping[str, float] = field(default_factory=dict)
-
-    def aggregated(self, x: float) -> float:
-        value = 0.0
-        for term, mf in self.variable.terms:
-            act = self.activations.get(term, 0.0)
-            if act > 0.0:
-                value = max(value, min(act, mf(x)))
-        return value
-
-
 def fuzzify(config: VariableConfig,
             inputs: Mapping[str, float]) -> dict[tuple[str, str], float]:
     """Membership degree of every (input variable, term) at the crisp inputs."""
@@ -230,8 +207,8 @@ def fuzzify(config: VariableConfig,
     return degrees
 
 
-def infer(rulebase: RuleBase, config: VariableConfig,
-          fuzzified: Mapping[tuple[str, str], float]) -> FuzzyOutput:
+def infer(rulebase: RuleBase,
+          fuzzified: Mapping[tuple[str, str], float]) -> dict[str, float]:
     """Each output term's activation: the max over its rules of the min of
     the rule's atom degrees (a missing atom has degree 0).
 
@@ -254,7 +231,7 @@ def infer(rulebase: RuleBase, config: VariableConfig,
         strength = min(map(get, antecedent))
         if strength > activations.get(term, 0.0):
             activations[term] = strength
-    return FuzzyOutput(config.output, activations)
+    return activations
 
 
 def _segments(mf: TrapezoidMF,
@@ -290,6 +267,8 @@ def _piecewise_cog(active: list[tuple[float, TrapezoidMF]],
         for xa2, xb2, s2, b2 in _segments(mf, act):
             if not (xa2 < hi and xb2 > lo):
                 continue
+            # Terms lie inside the universe, but a piece's computed end can
+            # round one step past it (x0 + act * (x1 - x0) > x1), so clamp.
             if lo > xa2:        # max(xa2, lo) and min(xb2, hi), inlined
                 xa2 = lo
             if hi < xb2:
@@ -329,12 +308,12 @@ def _piecewise_cog(active: list[tuple[float, TrapezoidMF]],
     return moment / mass
 
 
-def defuzzify_cog(output: FuzzyOutput) -> float:
-    """Centroid of the aggregated output over its universe."""
-    active = [(output.activations.get(term, 0.0), mf)
-              for term, mf in output.variable.terms
-              if output.activations.get(term, 0.0) > 0.0]
-    return _piecewise_cog(active, output.variable.universe)
+def defuzzify_cog(variable: LinguisticVariable,
+                  activations: Mapping[str, float]) -> float:
+    """Centroid of the max over terms of min(activation, term MF)."""
+    active = [(activations.get(term, 0.0), mf) for term, mf in variable.terms
+              if activations.get(term, 0.0) > 0.0]
+    return _piecewise_cog(active, variable.universe)
 
 
 def label(variable: LinguisticVariable, crisp: float) -> str:

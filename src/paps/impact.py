@@ -54,12 +54,6 @@ class ImpactMatrix:
     def get(self, goal: str, requirement: str) -> float:
         return self.rows.get(goal, _NO_CELLS).get(requirement, 0.0)
 
-    def row(self, goal: str) -> dict[str, float]:
-        return {r: self.get(goal, r) for r in self.requirements}
-
-    def to_json_dict(self) -> dict[str, dict[str, float]]:
-        return {g: self.row(g) for g in self.goals}
-
     # The renderers below take an optional goal list (default: all goals)
     # and format each distinct value once; a goal's line starts from a
     # copy of the all-zero line and only its non-zero cells are filled in.
@@ -126,7 +120,8 @@ class ImpactMatrix:
             lambda g: g.ljust(widths[0])), widths)
 
     def to_json(self, goals: Iterable[str] | None = None) -> str:
-        """``json.dumps({g: row(g) for g in goals}, indent=2) + "\\n"``.
+        """What ``json.dumps(matrix, indent=2) + "\\n"`` writes for the
+        dense ``{goal: {requirement: impact}}`` matrix of the shown goals.
 
         Written here rather than through ``render``: on a 500 x 1000
         matrix ``json.dumps`` of the whole dict takes 0.6-1.0 s, this
@@ -160,14 +155,6 @@ def _formatter(fmt: Callable[[float], str]) -> Callable[[float], str]:
     return text
 
 
-@dataclass(frozen=True)
-class Srl:
-    """Requirements with positive impact on one goal, strongest first."""
-
-    goal: str
-    entries: tuple[tuple[str, float], ...]
-
-
 def impact(model: SecurityModel, goal: str, requirement: str) -> float:
     """Max over derivation paths of the min rule degree; 0 if no path."""
     requirements = model.requirement_ids()
@@ -187,7 +174,10 @@ def impact_matrix(model: SecurityModel) -> ImpactMatrix:
         g: MappingProxyType(rows[g]) for g in goals if g in rows})
 
 
-def build_srl(model: SecurityModel, goal: str) -> Srl:
+def build_srl(model: SecurityModel,
+              goal: str) -> tuple[tuple[str, float], ...]:
+    """(requirement, impact) for every requirement with positive impact on
+    the goal, strongest first."""
     if goal not in model.goal_ids():
         raise KeyError(f"unknown goal {goal!r}")
     row = model.graph.impact_rows.get(goal, _NO_CELLS)
@@ -196,7 +186,7 @@ def build_srl(model: SecurityModel, goal: str) -> Srl:
     entries = [(r.id, row[r.id])
                for r in model.sorted_requirements() if r.id in row]
     entries.sort(key=lambda e: -e[1])
-    return Srl(goal, tuple(entries))
+    return tuple(entries)
 
 
 ORACLE_NODE_LIMIT = 20

@@ -47,23 +47,21 @@ def prioritize(model: SecurityModel, risk: RiskProfile, goal: str,
     the rule base's variables by name, not by declaration order.
     """
     check_inputs(config)
-    srl = build_srl(model, goal)
     entries: list[PrioritizedEntry] = []
-    for req_id, impact_value in srl.entries:
+    for req_id, impact_value in build_srl(model, goal):
         inputs = {"impact": impact_value, "cost": risk.cost[req_id],
                   "tech": risk.technical_ability[req_id]}
         try:
             fuzzified = fuzzify(config, inputs)
         except UniverseError as exc:
             raise UniverseError(f"requirement {req_id}: {exc}") from exc
-        output = infer(rulebase, config, fuzzified)
+        activations = infer(rulebase, fuzzified)
         no_activation = False
         try:
-            rds = defuzzify_cog(output)
+            rds = defuzzify_cog(config.output, activations)
         except NoActivationError:
-            weakest = min(config.output.term_names(),
-                          key=config.output.term_centroid)
-            rds = config.output.term_centroid(weakest)
+            rds = min(map(config.output.term_centroid,
+                          config.output.term_names()))
             no_activation = True
         term = label(config.output, rds)
         entries.append(PrioritizedEntry(

@@ -198,11 +198,9 @@ def serialize_model(model: SecurityModel, risk: RiskProfile) -> str:
     (the parser takes the first goal as root).
     """
     lines: list[str] = []
-    for goal in [model.goal(model.root)] + sorted(
-            (g for g in model.goals if g.id != model.root),
-            key=lambda g: natural_key(g.id)):
+    for goal in model.sorted_goals():
         lines.append(f'goal {goal.id} "{_escape(goal.description)}"')
-    for req in sorted(model.requirements, key=lambda r: natural_key(r.id)):
+    for req in model.sorted_requirements():
         parts = [f'req {req.id} "{_escape(req.description)}"',
                  f"cost={format_number(risk.cost[req.id])}",
                  f"tech={format_number(risk.technical_ability[req.id])}"]

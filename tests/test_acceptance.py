@@ -15,7 +15,7 @@ from generators import random_dag_model, random_valid_model
 from obs_tables import (EXPECTED_IMPACTS, EXPECTED_METRICS, EXPECTED_SUPPORT,
                         GOAL_IDS, REQ_IDS)
 from paps.cli import main
-from paps.fuzzy import FuzzyOutput, TrapezoidMF, defuzzify_cog, mf_eval
+from paps.fuzzy import TrapezoidMF, defuzzify_cog, mf_eval
 from paps.relax import DeviationMembership, deviation_degree
 
 
@@ -95,14 +95,14 @@ def test_criterion_4_cog_correctness():
         height = rng.uniform(0.05, 1.0)
         mf = TrapezoidMF(center - width, center, center, center + width)
         var = paps.LinguisticVariable("p", (0.0, 1.0), (("t", mf),))
-        value = defuzzify_cog(FuzzyOutput(var, {"t": height}))
+        value = defuzzify_cog(var, {"t": height})
         assert value == pytest.approx(center, abs=1e-9)
 
     # clipped trapezoid vs an independent 1e6-sample quadrature
     mf = TrapezoidMF(0.0, 0.2, 0.2, 0.4)
     height = 0.5
     var = paps.LinguisticVariable("p", (0.0, 1.0), (("t", mf),))
-    engine = defuzzify_cog(FuzzyOutput(var, {"t": height}))
+    engine = defuzzify_cog(var, {"t": height})
     n = 1_000_000
     moment = mass = 0.0
     for k in range(n):
@@ -121,7 +121,7 @@ def test_criterion_5_calibration_anchors(default_fis):
     anchors = {"optional": 0.13, "weak": 0.25, "normal": 0.55, "strong": 0.82}
     achieved = {}
     for term, target in anchors.items():
-        value = defuzzify_cog(FuzzyOutput(config.output, {term: 1.0}))
+        value = defuzzify_cog(config.output, {term: 1.0})
         achieved[term] = value
         assert value == pytest.approx(target, abs=0.02), term
     _passed(5, "single-term COGs " + ", ".join(

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -189,16 +193,21 @@ class TestPrioritize:
     @pytest.mark.parametrize("command", ["prioritize", "relax"])
     def test_zero_area_output_term_exits_one(self, runner, obs_path,
                                             tmp_path, command):
-        term = "    TERM weak := (0.2, 0.2, 0.2, 0.2);"
-        rules = _rules_file(tmp_path, "    TERM weak := (0.1, 0.2, 0.3, 0.4);",
-                            term)
-        line = open(rules).read().splitlines().index(term) + 1
-        result = _invoke(runner, command, obs_path, "--rules", rules)
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        assert result.output == (
-            f"error: {rules}: line {line}, column 5: output term "
-            "priority.weak has zero area\n")
+        for old, term in [
+                ("    TERM weak := (0.1, 0.2, 0.3, 0.4);",
+                 "    TERM weak := (0.2, 0.2, 0.2, 0.2);"),
+                # x0 < x3, but a width of 5e-324 has no area
+                ("    TERM optional := (0, 0, 0.1, 0.37);",
+                 "    TERM optional := (0, 0, 0, 0." + "0" * 323 + "5);")]:
+            rules = _rules_file(tmp_path, old, term)
+            line = open(rules).read().splitlines().index(term) + 1
+            name = term.split()[1]
+            result = _invoke(runner, command, obs_path, "--rules", rules)
+            assert result.exit_code == 1
+            assert isinstance(result.exception, SystemExit)
+            assert result.output == (
+                f"error: {rules}: line {line}, column 5: output term "
+                f"priority.{name} has zero area\n")
 
     def test_default_goal_is_root(self, runner, obs_path):
         explicit = _invoke(runner, "prioritize", obs_path, "--goal", "S")
@@ -251,3 +260,28 @@ class TestRelax:
     def test_csv_is_a_usage_error(self, runner, obs_path):
         result = _invoke(runner, "relax", obs_path, "--format", "csv")
         assert result.exit_code == 2
+
+
+class TestVersion:
+    def test_prints_the_package_version(self, runner):
+        result = _invoke(runner, "--version")
+        assert result.exit_code == 0
+        assert result.output == f"paps, version {paps.__version__}\n"
+
+    def test_module_run_from_a_source_checkout(self, tmp_path):
+        # No installed distribution is needed: the version comes from
+        # paps.__version__, not from package metadata.
+        src = Path(paps.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-m", "paps.cli", "--version"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"paps, version {paps.__version__}\n"
+
+    def test_pyproject_takes_the_version_from_the_package(self):
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        lines = pyproject.read_text(encoding="utf-8").splitlines()
+        assert 'dynamic = ["version"]' in lines
+        assert 'version = {attr = "paps.__version__"}' in lines
+        assert not any(line.startswith('version = "') for line in lines)

@@ -100,13 +100,25 @@ class TestParseRulebase:
         assert (exc.value.line, exc.value.column) == (end_var, 1)
 
     def test_zero_area_output_term_rejected_at_its_term_line(self):
-        bad = SMALL.replace("TERM weak := (0, 0.2, 0.3, 0.5);",
-                            "TERM weak := (0.2, 0.2, 0.2, 0.2);")
-        line = bad.splitlines().index("    TERM weak := (0.2, 0.2, 0.2, 0.2);")
-        with pytest.raises(FclError, match="output term priority.weak has "
-                                           "zero area") as exc:
-            parse_rulebase(bad)
-        assert (exc.value.line, exc.value.column) == (line + 1, 5)
+        for breakpoints in ("(0.2, 0.2, 0.2, 0.2)",
+                            # x0 < x3, but a width of 5e-324 has no area
+                            "(0, 0, 0, 0." + "0" * 323 + "5)"):
+            term = f"    TERM weak := {breakpoints};"
+            bad = SMALL.replace("    TERM weak := (0, 0.2, 0.3, 0.5);", term)
+            line = bad.splitlines().index(term)
+            with pytest.raises(FclError, match="output term priority.weak "
+                                               "has zero area") as exc:
+                parse_rulebase(bad)
+            assert (exc.value.line, exc.value.column) == (line + 1, 5)
+
+    def test_least_normal_width_output_term_accepted(self):
+        # Width 2.2250738585072014e-308: its area is subnormal, not 0.
+        config, _ = parse_rulebase(SMALL.replace(
+            "TERM weak := (0, 0.2, 0.3, 0.5);",
+            "TERM weak := (0, 0, 0, 0." + "0" * 307 + "22250738585072014);"))
+        weak = config.output.term("weak")
+        assert weak.x3 == 2.2250738585072014e-308
+        assert 0.0 <= config.output.term_centroid("weak") <= weak.x3
 
     def test_zero_area_input_term_accepted(self):
         config, _ = parse_rulebase(SMALL.replace(

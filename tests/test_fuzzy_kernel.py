@@ -3,9 +3,13 @@
 The ``_ref_*`` functions are the earlier ``paps.fuzzy`` code, copied
 verbatim except for dropped annotations and calls that go to each other
 (``mf(x)`` is ``_ref_mf_eval``, ``term_centroid`` is ``_ref_term_cog``), so
-nothing here reads the lookup tables under test. Every comparison is exact: the same
-float bits, the same activation keys in the same order, the same labels,
-and the same exceptions.
+nothing here reads the lookup tables under test. Three more departures
+follow API changes made since: ``_ref_fuzzify`` tests ``lo <= x <= hi``
+itself where it called ``var.contains(x)``; ``_ref_infer`` takes no
+variable config and returns the activations dict, not an output wrapper;
+and ``_ref_defuzzify_cog`` takes the output variable and the activations.
+Every comparison is exact: the same float bits, the same activation keys
+in the same order, the same labels, and the same exceptions.
 """
 
 import random
@@ -13,10 +17,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 import paps
-from paps.fuzzy import (FuzzyOutput, FuzzyRule, LinguisticVariable,
-                        NoActivationError, RuleBase, TrapezoidMF,
-                        UniverseError, VariableConfig, _piecewise_cog,
-                        defuzzify_cog, fuzzify, infer, label)
+from paps.fuzzy import (FuzzyRule, LinguisticVariable, NoActivationError,
+                        RuleBase, TrapezoidMF, UniverseError, VariableConfig,
+                        _piecewise_cog, defuzzify_cog, fuzzify, infer, label)
 
 
 # --- reference --------------------------------------------------------------
@@ -38,8 +41,8 @@ def _ref_fuzzify(config, inputs):
     degrees = {}
     for name, x in inputs.items():
         var = config.input(name)
-        if not var.contains(x):
-            lo, hi = var.universe
+        lo, hi = var.universe
+        if not lo <= x <= hi:
             raise UniverseError(
                 f"{name}={x} outside universe [{lo}, {hi}]")
         for term, mf in var.terms:
@@ -47,14 +50,14 @@ def _ref_fuzzify(config, inputs):
     return degrees
 
 
-def _ref_infer(rulebase, config, fuzzified):
+def _ref_infer(rulebase, fuzzified):
     activations = {}
     for rule in rulebase.rules:
         strength = min(fuzzified.get(atom, 0.0) for atom in rule.antecedent)
         _, term = rule.consequent
         if strength > activations.get(term, 0.0):
             activations[term] = strength
-    return FuzzyOutput(config.output, activations)
+    return activations
 
 
 def _ref_clipped_segments(mf, act, lo, hi):
@@ -115,11 +118,11 @@ def _ref_term_cog(mf, universe):
     return _ref_piecewise_cog([(1.0, mf)], universe)
 
 
-def _ref_defuzzify_cog(output, universe=None):
-    active = [(output.activations.get(term, 0.0), mf)
-              for term, mf in output.variable.terms
-              if output.activations.get(term, 0.0) > 0.0]
-    return _ref_piecewise_cog(active, universe or output.variable.universe)
+def _ref_defuzzify_cog(variable, activations, universe=None):
+    active = [(activations.get(term, 0.0), mf)
+              for term, mf in variable.terms
+              if activations.get(term, 0.0) > 0.0]
+    return _ref_piecewise_cog(active, universe or variable.universe)
 
 
 def _ref_label(variable, crisp):
@@ -227,17 +230,17 @@ def fuzzified_degrees(draw, config):
 
 # --- properties -------------------------------------------------------------
 
-def _check_output(config, output, expected, universe=None):
-    assert output.variable is config.output
-    assert _exact(output.activations) == _exact(expected.activations)
+def _check_output(config, activations, expected, universe=None):
+    assert _exact(activations) == _exact(expected)
     if universe is None:
-        rds = _outcome(defuzzify_cog, output)
+        rds = _outcome(defuzzify_cog, config.output, activations)
     else:  # the aggregate clipped to a universe other than the output's
         rds = _outcome(_piecewise_cog, [
-            (output.activations[term], mf)
-            for term, mf in output.variable.terms
-            if output.activations.get(term, 0.0) > 0.0], universe)
-    assert rds == _outcome(_ref_defuzzify_cog, expected, universe)
+            (activations[term], mf)
+            for term, mf in config.output.terms
+            if activations.get(term, 0.0) > 0.0], universe)
+    assert rds == _outcome(_ref_defuzzify_cog, config.output, expected,
+                           universe)
     if rds[0] == "ok":
         crisp = float.fromhex(rds[1])
         assert (_outcome(label, config.output, crisp)
@@ -250,8 +253,8 @@ def test_infer_defuzzify_label_match_reference(data):
     config, rulebase = data.draw(systems())
     fuzzified = data.draw(fuzzified_degrees(config))
     universe = data.draw(st.none() | universes())
-    _check_output(config, infer(rulebase, config, fuzzified),
-                  _ref_infer(rulebase, config, fuzzified), universe)
+    _check_output(config, infer(rulebase, fuzzified),
+                  _ref_infer(rulebase, fuzzified), universe)
 
 
 @settings(max_examples=60, deadline=None)
@@ -266,10 +269,8 @@ def test_fuzzify_matches_reference(data):
     outcome = _outcome(fuzzify, config, inputs)
     assert outcome == _outcome(_ref_fuzzify, config, inputs)
     if outcome[0] == "ok":
-        _check_output(config,
-                      infer(rulebase, config, fuzzify(config, inputs)),
-                      _ref_infer(rulebase, config,
-                                 _ref_fuzzify(config, inputs)))
+        _check_output(config, infer(rulebase, fuzzify(config, inputs)),
+                      _ref_infer(rulebase, _ref_fuzzify(config, inputs)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -295,8 +296,8 @@ def test_default_rulebase_on_random_triples():
                   "cost": rng.random(), "tech": rng.random()}
         degrees = fuzzify(config, inputs)
         assert _exact(degrees) == _exact(_ref_fuzzify(config, inputs))
-        _check_output(config, infer(rulebase, config, degrees),
-                      _ref_infer(rulebase, config, degrees))
+        _check_output(config, infer(rulebase, degrees),
+                      _ref_infer(rulebase, degrees))
 
 
 def test_peak_whose_pieces_overlap_by_rounding():
@@ -311,9 +312,23 @@ def test_peak_whose_pieces_overlap_by_rounding():
     assert xa2 < xb1 < xb2
     assert xa2 < (b2 - b1) / (s1 - s2) < xb1
     var = LinguisticVariable("out", universe, (("peak", mf),))
-    output = FuzzyOutput(var, {"peak": 1.0})
-    assert (defuzzify_cog(output).hex()
-            == _ref_defuzzify_cog(output).hex() == "-0x1.f5fe9fe453404p-4")
+    assert (defuzzify_cog(var, {"peak": 1.0}).hex()
+            == _ref_defuzzify_cog(var, {"peak": 1.0}).hex()
+            == "-0x1.f5fe9fe453404p-4")
+
+
+def test_piece_that_ends_past_the_universe_is_clamped():
+    # The term ends at the universe, but at activation 1 its rising piece
+    # ends at x0 + (x1 - x0) = 3.0000000000000004. Clamped to 3, as the
+    # reference clips every piece, the centroid ends in ...f1fe; integrated
+    # to where the piece ends, it would end in ...f1ff.
+    mf = TrapezoidMF(-1.5913895858271885, 3.0, 3.0, 3.0)
+    universe = (-3.0, 3.0)
+    assert mf.x0 + 1.0 * (mf.x1 - mf.x0) == 3.0000000000000004
+    var = LinguisticVariable("out", universe, (("peak", mf),))
+    expected = "0x1.783390648f1fep+0"
+    assert defuzzify_cog(var, {"peak": 1.0}).hex() == expected
+    assert _ref_piecewise_cog([(1.0, mf)], universe).hex() == expected
 
 
 def test_negative_zero_input_has_degree_plus_zero():

@@ -2,12 +2,14 @@
 
 ``bench/obs_digests.json`` maps a command line (``MODEL`` standing for the
 bundled OBS model) to the SHA-256 of its exit code, stdout and stderr. Each
-one is replayed in-process here; the ``validate CYCLE*`` lines need the
-benchmark's cyclic variants and are left to it.
+one is replayed in-process here. ``validate CYCLE<k>`` validates OBS with
+its k-th goal-to-goal edge reversed, as ``bench/gen.py`` writes it.
 """
 
 import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,9 +18,20 @@ from click.testing import CliRunner
 import paps
 from paps.cli import main
 
-DIGESTS = json.loads((Path(__file__).resolve().parent.parent
-                      / "bench" / "obs_digests.json").read_text())
-KEYS = sorted(k for k in DIGESTS if not k.startswith("validate CYCLE"))
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+DIGESTS = json.loads((BENCH / "obs_digests.json").read_text())
+KEYS = sorted(DIGESTS)
+
+
+def _gen():
+    spec = importlib.util.spec_from_file_location("bench_gen", BENCH / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+gen = _gen()
 
 
 @pytest.fixture(scope="module")
@@ -36,12 +49,20 @@ def _runner() -> CliRunner:
 
 
 def test_every_command_line_is_covered():
-    assert len(KEYS) == 88
+    cycles = [f"validate CYCLE{k}" for k in range(len(gen.obs_goal_edges()))]
+    assert len(KEYS) == 103
+    assert set(cycles) <= set(KEYS)
 
 
 @pytest.mark.parametrize("key", KEYS)
-def test_output_matches_recorded_digest(key, model_path):
-    args = [model_path if arg == "MODEL" else arg for arg in key.split()]
+def test_output_matches_recorded_digest(key, model_path, tmp_path):
+    if key.startswith("validate CYCLE"):
+        cyclic = tmp_path / "cycle.srm"
+        cyclic.write_text(gen.obs_cyclic_variant(int(key[len("validate CYCLE"):])),
+                          encoding="utf-8")
+        args = ["validate", str(cyclic)]
+    else:
+        args = [model_path if arg == "MODEL" else arg for arg in key.split()]
     result = _runner().invoke(main, args)
     digest = hashlib.sha256(f"{result.exit_code}\0{result.stdout}\0"
                             f"{result.stderr}".encode()).hexdigest()

@@ -96,22 +96,21 @@ class TestImpactMatrix:
 class TestSrl:
     def test_obs_g12(self, obs):
         model, _ = obs
-        srl = build_srl(model, "G12")
-        assert srl.entries == (("R11", pytest.approx(0.90)),)
+        assert build_srl(model, "G12") == (("R11", pytest.approx(0.90)),)
 
     def test_obs_g3_order(self, obs):
         model, _ = obs
         srl = build_srl(model, "G3")
-        assert [r for r, _ in srl.entries] == ["R4", "R2", "R3"]
-        assert dict(srl.entries) == {
+        assert [r for r, _ in srl] == ["R4", "R2", "R3"]
+        assert dict(srl) == {
             "R2": pytest.approx(0.75), "R3": pytest.approx(0.75),
             "R4": pytest.approx(0.85)}
 
     def test_obs_root_covers_everything(self, obs):
         model, _ = obs
         srl = build_srl(model, "S")
-        assert [r for r, _ in srl.entries] != []
-        assert {r for r, _ in srl.entries} == set(REQ_IDS)
+        assert [r for r, _ in srl] != []
+        assert {r for r, _ in srl} == set(REQ_IDS)
 
     def test_unknown_goal(self, obs):
         model, _ = obs
@@ -232,6 +231,11 @@ def messy_dags(draw):
     return _model(goals, reqs, rules, root=goals[0])
 
 
+def _json_reference(matrix, goals):
+    return json.dumps({g: {r: matrix.get(g, r) for r in matrix.requirements}
+                       for g in goals}, indent=2) + "\n"
+
+
 def _csv_reference(matrix, goals):
     # No requirement columns: the lines are "goal" and the bare goal ids.
     lines = [",".join(["goal", *matrix.requirements])]
@@ -273,16 +277,14 @@ class TestSinglePass:
         goals = data.draw(st.lists(st.sampled_from(matrix.goals), max_size=4))
         for subset in (None, goals):
             shown = matrix.goals if subset is None else subset
-            assert matrix.to_json(subset) == json.dumps(
-                {g: matrix.row(g) for g in shown}, indent=2) + "\n"
+            assert matrix.to_json(subset) == _json_reference(matrix, shown)
             assert matrix.to_csv(subset) == _csv_reference(matrix, shown)
             assert matrix.to_table(subset) == _table_reference(matrix, shown)
 
     def test_json_matches_json_dumps(self, obs):
         model, _ = obs
         matrix = impact_matrix(model)
-        assert matrix.to_json() == json.dumps(
-            matrix.to_json_dict(), indent=2) + "\n"
+        assert matrix.to_json() == _json_reference(matrix, matrix.goals)
 
     @pytest.mark.parametrize("model", [
         _model(["S"], ["R1", "R2"], [], "S"),               # no rules
@@ -295,8 +297,7 @@ class TestSinglePass:
     ])
     def test_renderers_on_edge_case_models(self, model):
         matrix = impact_matrix(model)
-        assert matrix.to_json() == json.dumps(
-            matrix.to_json_dict(), indent=2) + "\n"
+        assert matrix.to_json() == _json_reference(matrix, matrix.goals)
         assert matrix.to_table() == _table_reference(matrix, matrix.goals)
         assert matrix.to_csv() == _csv_reference(matrix, matrix.goals)
 
@@ -319,7 +320,7 @@ class TestSinglePass:
         assert model.graph.impact_rows is rows
         with pytest.raises(TypeError):
             matrix.rows["S"]["R1"] = 0.0
-        assert build_srl(model, "G3").entries == tuple(
+        assert build_srl(model, "G3") == tuple(
             sorted(impact_matrix(model).rows["G3"].items(),
                    key=lambda e: (-e[1], e[0])))
 
