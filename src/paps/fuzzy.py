@@ -121,9 +121,9 @@ class LinguisticVariable:
 
     @cached_property
     def _ranked_terms(self) -> tuple[tuple[str, TrapezoidMF, float], ...]:
-        """(term, mf, centroid) for every term, in declaration order."""
+        """(term, mf, centroid) for every term, in term-name order."""
         return tuple((term, mf, self.term_centroid(term))
-                     for term, mf in self.terms)
+                     for term, mf in sorted(self.terms, key=lambda t: t[0]))
 
 
 @dataclass(frozen=True)
@@ -319,7 +319,9 @@ def defuzzify_cog(variable: LinguisticVariable,
 def label(variable: LinguisticVariable, crisp: float) -> str:
     """Output term with the highest membership at ``crisp``.
 
-    Ties go to the term with the higher centroid (the stronger priority).
+    Ties go to the term with the higher centroid (the stronger priority),
+    then to the term whose name sorts first, so declaration order never
+    decides.
     """
     lo, hi = variable.universe
     if not lo <= crisp <= hi:

@@ -192,19 +192,6 @@ def build_srl(model: SecurityModel,
 ORACLE_NODE_LIMIT = 20
 
 
-def _reachable(model: SecurityModel, source: str) -> set[str]:
-    adj = adjacency(model)
-    seen = {source}
-    frontier = [source]
-    while frontier:
-        node = frontier.pop()
-        for child, _ in adj.get(node, ()):
-            if child not in seen:
-                seen.add(child)
-                frontier.append(child)
-    return seen
-
-
 def brute_force_impact(model: SecurityModel, goal: str, requirement: str) -> float:
     """Enumerate every simple path goal -> requirement explicitly.
 
@@ -215,7 +202,7 @@ def brute_force_impact(model: SecurityModel, goal: str, requirement: str) -> flo
     for node in (goal, requirement):
         if node not in known:
             raise KeyError(f"unknown node {node!r}")
-    reachable = _reachable(model, goal)
+    reachable = model.graph.reachable(goal)
     if len(reachable) > ORACLE_NODE_LIMIT:
         raise OracleSizeError(
             f"{len(reachable)} nodes reachable from {goal}, "

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Mapping
 
 
 _DIGIT_RUN = re.compile(r"(\d+)")
@@ -125,9 +125,13 @@ class ModelGraph:
 
     ``adjacency`` maps each rule head to its (child, degree) pairs, sorted
     by child id, with duplicate edges collapsed to their maximum degree.
-    ``order`` lists every node (declared or only referenced) so that heads
-    come before their children (Kahn 1962), or is None if the rules form a
-    cycle. ``impact_rows`` is computed on first use.
+    ``order`` lists every node (declared or only referenced) children first,
+    from one depth-first search (Tarjan 1976) that starts from the nodes in
+    id order and enters children in ``adjacency`` order. The first edge
+    back into the search path ends it: ``cycle`` then holds that path from
+    the edge's target on, closed by the target again (``[G1, G2, G1]``),
+    and ``order`` is None. On an acyclic graph ``cycle`` is None.
+    ``impact_rows`` is computed on first use.
     """
 
     def __init__(self, model: SecurityModel):
@@ -141,39 +145,59 @@ class ModelGraph:
             head: tuple(sorted(children.items()))
             for head, children in adj.items()}
 
-        indegree = dict.fromkeys(
-            [g.id for g in model.goals] + [r.id for r in model.requirements]
-            + list(adj), 0)
-        for children in adj.values():
-            for child in children:
-                indegree[child] = indegree.get(child, 0) + 1
-        ready = [node for node, n in indegree.items() if n == 0]
+        self.cycle: list[str] | None = None
+        self.order: tuple[str, ...] | None = None
         order: list[str] = []
-        while ready:
-            node = ready.pop()
-            order.append(node)
-            for child in adj.get(node, ()):
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    ready.append(child)
-        self.order: tuple[str, ...] | None = (
-            tuple(order) if len(order) == len(indegree) else None)
+        done: set[str] = set()
+        for start in sorted(model.goal_ids() | model.requirement_ids()
+                            | set(adj)):
+            if start in done:
+                continue
+            path, on_path = [start], {start}
+            stack = [iter(self.adjacency.get(start, ()))]
+            while stack:
+                for child, _ in stack[-1]:
+                    if child in on_path:
+                        self.cycle = path[path.index(child):] + [child]
+                        return
+                    if child not in done:
+                        path.append(child)
+                        on_path.add(child)
+                        stack.append(iter(self.adjacency.get(child, ())))
+                        break
+                else:
+                    node = path.pop()
+                    on_path.remove(node)
+                    done.add(node)
+                    order.append(node)
+                    stack.pop()
+        self.order = tuple(order)
+
+    def reachable(self, source: str) -> set[str]:
+        """``source`` and every node a derivation chain leads to from it."""
+        seen = {source}
+        frontier = [source]
+        while frontier:
+            for child, _ in self.adjacency.get(frontier.pop(), ()):
+                if child not in seen:
+                    seen.add(child)
+                    frontier.append(child)
+        return seen
 
     @cached_property
     def impact_rows(self) -> dict[str, dict[str, float]]:
         """Node -> {requirement: impact > 0}, the widest-path widths.
 
-        One pass in reverse topological order: the row of a node is the
+        One pass over ``order``, children first: the row of a node is the
         max over its children (c, d) of min(d, row[c][r]), where a
         requirement child also contributes d for itself (Pollack 1960).
         Nodes that reach no requirement have no row.
         """
         if self.order is None:
-            cycle = _find_cycle(self.adjacency, set(self.adjacency))
-            raise ValueError("derivation cycle: " + " -> ".join(cycle))
+            raise ValueError("derivation cycle: " + " -> ".join(self.cycle))
         requirements = self._requirements
         rows: dict[str, dict[str, float]] = {}
-        for node in reversed(self.order):
+        for node in self.order:
             children = self.adjacency.get(node)
             if not children:
                 continue
@@ -244,40 +268,6 @@ class ValidationReport:
         return not self.errors
 
 
-def _find_cycle(adj: Mapping[str, tuple[tuple[str, float], ...]],
-                nodes: set[str]) -> list[str] | None:
-    """Return one cycle as a node list, or None if the graph is acyclic."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in nodes}
-    for start in sorted(nodes):
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[str, Iterator[str]]] = [
-            (start, iter([c for c, _ in adj.get(start, ())]))]
-        color[start] = GRAY
-        path = [start]
-        while stack:
-            node, children = stack[-1]
-            advanced = False
-            for child in children:
-                if child not in color:
-                    continue  # dangling refs reported separately
-                if color[child] == GRAY:
-                    return path[path.index(child):] + [child]
-                if color[child] == WHITE:
-                    color[child] = GRAY
-                    path.append(child)
-                    stack.append(
-                        (child, iter([c for c, _ in adj.get(child, ())])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                path.pop()
-                stack.pop()
-    return None
-
-
 def validate_model(model: SecurityModel, risk: RiskProfile) -> ValidationReport:
     """Check every structural invariant; never raises, always reports."""
     findings: list[Finding] = []
@@ -328,22 +318,13 @@ def validate_model(model: SecurityModel, risk: RiskProfile) -> ValidationReport:
                 findings.append(Finding(CATEGORY_RANGE, "error", req.id,
                                         f"{name} {table[req.id]} outside [0, 1]"))
 
-    adj = adjacency(model)
-    # Kahn's sort detects a cycle; the DFS then names one.
-    cycle = _find_cycle(adj, declared) if model.graph.order is None else None
+    cycle = model.graph.cycle
     if cycle is not None:
         findings.append(Finding(CATEGORY_CYCLE, "error", cycle[0],
                                 "derivation cycle: " + " -> ".join(cycle)))
 
     if model.root in goal_ids and cycle is None:
-        reachable = {model.root}
-        frontier = [model.root]
-        while frontier:
-            node = frontier.pop()
-            for child, _ in adj.get(node, ()):
-                if child in declared and child not in reachable:
-                    reachable.add(child)
-                    frontier.append(child)
+        reachable = model.graph.reachable(model.root)
         for node_id in sorted(declared - reachable, key=natural_key):
             findings.append(Finding(CATEGORY_UNREACHABLE, "warning", node_id,
                                     "no derivation chain from the root goal"))

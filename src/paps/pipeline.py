@@ -30,11 +30,16 @@ INPUT_NAMES = ("impact", "cost", "tech")
 
 
 def check_inputs(config: VariableConfig) -> None:
-    """The rule base must read exactly the inputs impact, cost and tech."""
+    """The rule base must read exactly the inputs impact, cost and tech, and
+    its output, a degree of satisfaction, must range inside [0, 1]."""
     names = config.input_names()
     if sorted(names) != sorted(INPUT_NAMES):
         raise FclError(1, 1, "input variables must be impact, cost and tech, "
                              f"got {', '.join(names)}")
+    lo, hi = config.output.universe
+    if not (0.0 <= lo and hi <= 1.0):
+        raise FclError(1, 1, f"output variable {config.output.name} has "
+                             f"RANGE ({lo} .. {hi}), not inside [0, 1]")
 
 
 def prioritize(model: SecurityModel, risk: RiskProfile, goal: str,

@@ -61,6 +61,7 @@ def parse_model(text: str) -> tuple[SecurityModel, RiskProfile]:
     tech: dict[str, float] = {}
     declared: dict[str, int] = {}
     rule_ids: dict[str, int] = {}
+    option_lines: dict[str, int] = {}
     cost_scale = 1.0
     body_seen = False
 
@@ -81,6 +82,10 @@ def parse_model(text: str) -> tuple[SecurityModel, RiskProfile]:
             name, value = m.group(1), float(m.group(2))
             if name not in _KNOWN_OPTIONS:
                 raise SrmError(lineno, col, f"unknown option {name!r}")
+            if name in option_lines:
+                raise SrmError(lineno, col, f"option {name} already set "
+                                            f"on line {option_lines[name]}")
+            option_lines[name] = lineno
             if value <= 0:
                 raise SrmError(lineno, col, f"{name} must be positive")
             cost_scale = value

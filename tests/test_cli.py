@@ -209,6 +209,25 @@ class TestPrioritize:
                 f"error: {rules}: line {line}, column 5: output term "
                 f"priority.{name} has zero area\n")
 
+    @pytest.mark.parametrize("command", ["prioritize", "relax"])
+    def test_output_range_wider_than_unit_exits_one(self, runner, obs_path,
+                                                   tmp_path, command):
+        # The RDS reaches 1.33 on OBS with this rule base.
+        rules = _rules_file(
+            tmp_path,
+            "VAR_OUTPUT priority\n    RANGE := (0.0 .. 1.0);",
+            "VAR_OUTPUT priority\n    RANGE := (0.0 .. 2.0);")
+        path = Path(rules)
+        path.write_text(path.read_text().replace(
+            "TERM strong := (0.53, 0.79, 1, 1);",
+            "TERM strong := (0.53, 0.79, 2, 2);"))
+        result = _invoke(runner, command, obs_path, "--rules", rules)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            f"error: {rules}: line 1, column 1: output variable priority "
+            "has RANGE (0.0 .. 2.0), not inside [0, 1]\n")
+
     def test_default_goal_is_root(self, runner, obs_path):
         explicit = _invoke(runner, "prioritize", obs_path, "--goal", "S")
         implicit = _invoke(runner, "prioritize", obs_path)

@@ -237,6 +237,12 @@ class TestLabel:
                 == mf_eval(var.term("strong"), crossing))
         assert label(var, crossing) == "strong"
 
+    def test_full_tie_goes_to_the_first_name_in_any_order(self):
+        twin = TrapezoidMF(0.2, 0.4, 0.6, 0.8)
+        for terms in ((("a", twin), ("b", twin)), (("b", twin), ("a", twin))):
+            var = LinguisticVariable("p", (0.0, 1.0), terms)
+            assert [label(var, x) for x in (0.3, 0.5, 0.7)] == ["a"] * 3
+
     def test_short_label(self):
         assert short_label("strong") == "S"
         assert short_label("optional") == "O"

@@ -1,6 +1,8 @@
 import random
+from typing import Iterator, Mapping
 
 import pytest
+from hypothesis import given, strategies as st
 
 import paps
 from paps.impact import build_srl, impact, impact_matrix
@@ -156,6 +158,115 @@ class TestGraph:
             model.goal("R1")
         with pytest.raises(KeyError):
             model.requirement("S")
+
+
+# Reference copies of the two graph walks the depth-first search in
+# ModelGraph replaced: the cycle finder validate_model and impact_rows
+# called, and Kahn's sort (the adjacency build is copied with it).
+
+def _find_cycle(adj: Mapping[str, tuple[tuple[str, float], ...]],
+                nodes: set[str]) -> list[str] | None:
+    """Return one cycle as a node list, or None if the graph is acyclic."""
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {n: WHITE for n in nodes}
+    for start in sorted(nodes):
+        if color[start] != WHITE:
+            continue
+        stack: list[tuple[str, Iterator[str]]] = [
+            (start, iter([c for c, _ in adj.get(start, ())]))]
+        color[start] = GRAY
+        path = [start]
+        while stack:
+            node, children = stack[-1]
+            advanced = False
+            for child in children:
+                if child not in color:
+                    continue  # dangling refs reported separately
+                if color[child] == GRAY:
+                    return path[path.index(child):] + [child]
+                if color[child] == WHITE:
+                    color[child] = GRAY
+                    path.append(child)
+                    stack.append(
+                        (child, iter([c for c, _ in adj.get(child, ())])))
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = BLACK
+                path.pop()
+                stack.pop()
+    return None
+
+
+def _kahn_order(model: SecurityModel) -> tuple[str, ...] | None:
+    adj: dict[str, dict[str, float]] = {}
+    for rule in model.rules:
+        children = adj.setdefault(rule.head, {})
+        for child in rule.body:
+            children[child] = max(children.get(child, 0.0), rule.degree)
+
+    indegree = dict.fromkeys(
+        [g.id for g in model.goals] + [r.id for r in model.requirements]
+        + list(adj), 0)
+    for children in adj.values():
+        for child in children:
+            indegree[child] = indegree.get(child, 0) + 1
+    ready = [node for node, n in indegree.items() if n == 0]
+    order: list[str] = []
+    while ready:
+        node = ready.pop()
+        order.append(node)
+        for child in adj.get(node, ()):
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                ready.append(child)
+    return tuple(order) if len(order) == len(indegree) else None
+
+
+@st.composite
+def _declared_models(draw) -> SecurityModel:
+    """Random rules over declared ids only: self-loops, several cycles,
+    duplicate edges and requirement heads all occur. Goals are declared in
+    a drawn order, so id order and declaration order differ."""
+    goals = draw(st.permutations(
+        [f"G{i}" for i in range(draw(st.integers(1, 12)))]))
+    reqs = [f"R{i}" for i in range(draw(st.integers(0, 4)))]
+    ids = st.sampled_from(goals + reqs)
+    rules = draw(st.lists(st.tuples(
+        ids, st.lists(ids, min_size=1, max_size=3),
+        st.sampled_from([0.2, 0.5, 1.0])), max_size=16))
+    return SecurityModel(
+        goals=tuple(map(Goal, goals)),
+        requirements=tuple(map(Requirement, reqs)),
+        rules=tuple(DerivationRule(f"P{i}", head, tuple(body), degree)
+                    for i, (head, body, degree) in enumerate(rules)),
+        root=goals[0])
+
+
+class TestDepthFirstSearchAgainstReferences:
+    @given(_declared_models())
+    def test_cycle_and_order_match_the_old_walks(self, model):
+        graph = model.graph
+        declared = model.goal_ids() | model.requirement_ids()
+        cycle = _find_cycle(graph.adjacency, declared)
+        assert graph.cycle == cycle
+        assert _find_cycle(graph.adjacency, set(graph.adjacency)) == cycle
+        assert (graph.order is None) == (_kahn_order(model) is None)
+        findings = [str(f) for f in validate_model(model, _risk()).findings
+                    if f.category == "cycle"]
+        if graph.order is None:
+            assert findings == [f"error [cycle] {cycle[0]}: derivation "
+                                f"cycle: {' -> '.join(cycle)}"]
+            with pytest.raises(ValueError) as exc:
+                graph.impact_rows
+            assert str(exc.value) == "derivation cycle: " + " -> ".join(cycle)
+            return
+        assert findings == []
+        assert sorted(graph.order) == sorted(declared)
+        at = {node: i for i, node in enumerate(graph.order)}
+        for head, children in graph.adjacency.items():
+            for child, _ in children:
+                assert at[child] < at[head]
 
 
 class TestTechnicalAbility:

@@ -172,6 +172,17 @@ class TestInputBinding:
         with pytest.raises(FclError, match="impact, cost and tech"):
             prioritize(model, risk, "S", config, rulebase)
 
+    @pytest.mark.parametrize("output_range", ["(0.0 .. 2.0)", "(-0.5 .. 1.0)"])
+    def test_output_range_must_lie_inside_unit(self, obs, output_range):
+        model, risk = obs
+        config, rulebase = parse_rulebase(paps.default_rules_text().replace(
+            "RANGE := (0.0 .. 1.0);\n    TERM optional",
+            f"RANGE := {output_range};\n    TERM optional"))
+        with pytest.raises(FclError) as exc:
+            prioritize(model, risk, "S", config, rulebase)
+        assert exc.value.message == (f"output variable priority has RANGE "
+                                     f"{output_range}, not inside [0, 1]")
+
     def test_value_outside_a_universe_names_the_requirement(self, obs):
         model, risk = obs
         text = paps.default_rules_text().replace(

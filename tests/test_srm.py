@@ -64,6 +64,15 @@ class TestParse:
         _, risk = parse_model(text)
         assert risk.cost["R1"] == pytest.approx(0.5)
 
+    def test_cost_scale_set_twice_rejected(self):
+        text = ("option cost_scale = 100\n"
+                "# a second scale would silently win\n"
+                "  option cost_scale = 10\n" + MINIMAL)
+        with pytest.raises(SrmError) as exc:
+            parse_model(text)
+        assert (exc.value.line, exc.value.column) == (3, 3)
+        assert exc.value.message == "option cost_scale already set on line 1"
+
     def test_crlf_accepted(self):
         model, _ = parse_model(MINIMAL.replace("\n", "\r\n"))
         assert len(model.rules) == 1
