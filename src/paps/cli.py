@@ -144,7 +144,7 @@ def _for_goal(model_path: str, goal: str | None, rules_path: str | None,
         return run(model, risk, target, config, rulebase)
     except RenderError as exc:
         _fail(str(exc))
-    except (FclError, UniverseError) as exc:
+    except UniverseError as exc:
         _fail(f"{_rules_source(rules_path)}: {exc}")
 
 

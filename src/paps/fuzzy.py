@@ -156,23 +156,6 @@ class FuzzyRule:
 class RuleBase:
     rules: tuple[FuzzyRule, ...]
 
-    def missing_combinations(self, config: VariableConfig) -> list[tuple[str, ...]]:
-        """Input-term combinations no rule covers (empty for the default)."""
-        covered = set()
-        names = config.input_names()
-        for rule in self.rules:
-            atoms = dict(rule.antecedent)
-            if set(atoms) == set(names):
-                covered.add(tuple(atoms[n] for n in names))
-        missing = []
-        combos: list[tuple[str, ...]] = [()]
-        for var in config.inputs:
-            combos = [c + (t,) for c in combos for t in var.term_names()]
-        for combo in combos:
-            if combo not in covered:
-                missing.append(combo)
-        return missing
-
     # Dispatch tables for infer, built on first use like LinguisticVariable's.
 
     @cached_property

@@ -51,9 +51,6 @@ class ImpactMatrix:
         return {(g, r): v for g in self.goals
                 for r, v in self.rows.get(g, _NO_CELLS).items()}
 
-    def get(self, goal: str, requirement: str) -> float:
-        return self.rows.get(goal, _NO_CELLS).get(requirement, 0.0)
-
     # The renderers below take an optional goal list (default: all goals)
     # and format each distinct value once; a goal's line starts from a
     # copy of the all-zero line and only its non-zero cells are filled in.

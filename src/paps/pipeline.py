@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import render
-from .fcl import FclError
+from .fcl import check_inputs
 from .fuzzy import (NoActivationError, RuleBase, UniverseError, VariableConfig,
                     defuzzify_cog, fuzzify, infer, label, short_label)
 from .impact import build_srl
@@ -24,22 +24,6 @@ class PrioritizedEntry:
     term: str           # full output term name, e.g. "strong"
     label: str          # single-letter form, e.g. "S"
     no_activation: bool = False
-
-
-INPUT_NAMES = ("impact", "cost", "tech")
-
-
-def check_inputs(config: VariableConfig) -> None:
-    """The rule base must read exactly the inputs impact, cost and tech, and
-    its output, a degree of satisfaction, must range inside [0, 1]."""
-    names = config.input_names()
-    if sorted(names) != sorted(INPUT_NAMES):
-        raise FclError(1, 1, "input variables must be impact, cost and tech, "
-                             f"got {', '.join(names)}")
-    lo, hi = config.output.universe
-    if not (0.0 <= lo and hi <= 1.0):
-        raise FclError(1, 1, f"output variable {config.output.name} has "
-                             f"RANGE ({lo} .. {hi}), not inside [0, 1]")
 
 
 def prioritize(model: SecurityModel, risk: RiskProfile, goal: str,

@@ -173,7 +173,7 @@ class TestPrioritize:
         result = _invoke(runner, "prioritize", obs_path, "--rules", rules)
         assert result.exit_code == 1
         assert result.output == (
-            f"error: {rules}: line 1, column 1: input variables must be "
+            f"error: {rules}: line 28, column 1: input variables must be "
             "impact, cost and tech, got impact, cost, skill\n")
 
     def test_rulebase_with_two_outputs_exits_one(self, runner, obs_path,
@@ -182,7 +182,7 @@ class TestPrioritize:
             tmp_path, "VAR_OUTPUT priority",
             "VAR_OUTPUT urgency\n    RANGE := (0.0 .. 1.0);\n"
             "    TERM soon := (0, 0, 0.5, 1);\nEND_VAR\n\nVAR_OUTPUT priority")
-        text = open(rules).read().splitlines()
+        text = Path(rules).read_text().splitlines()
         line = [n for n, raw in enumerate(text, start=1) if raw == "END_VAR"][-1]
         result = _invoke(runner, "prioritize", obs_path, "--rules", rules)
         assert result.exit_code == 1
@@ -200,7 +200,7 @@ class TestPrioritize:
                 ("    TERM optional := (0, 0, 0.1, 0.37);",
                  "    TERM optional := (0, 0, 0, 0." + "0" * 323 + "5);")]:
             rules = _rules_file(tmp_path, old, term)
-            line = open(rules).read().splitlines().index(term) + 1
+            line = Path(rules).read_text().splitlines().index(term) + 1
             name = term.split()[1]
             result = _invoke(runner, command, obs_path, "--rules", rules)
             assert result.exit_code == 1
@@ -225,7 +225,7 @@ class TestPrioritize:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.output == (
-            f"error: {rules}: line 1, column 1: output variable priority "
+            f"error: {rules}: line 36, column 5: output variable priority "
             "has RANGE (0.0 .. 2.0), not inside [0, 1]\n")
 
     def test_default_goal_is_root(self, runner, obs_path):
@@ -267,7 +267,7 @@ class TestRelax:
         result = _invoke(runner, "relax", obs_path, "--rules", rules)
         assert result.exit_code == 1
         assert result.output == (
-            f"error: {rules}: line 1, column 1: input variables must be "
+            f"error: {rules}: line 28, column 1: input variables must be "
             "impact, cost and tech, got impact, cost, skill\n")
 
     def test_json_format(self, runner, obs_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import paps
@@ -37,7 +39,13 @@ class TestParseRulebase:
         assert config.input_names() == ["impact", "cost", "tech"]
         assert config.output.term_names() == [
             "optional", "weak", "normal", "strong"]
-        assert rulebase.missing_combinations(config) == []
+        # one rule for each (impact, cost, tech) term triple
+        names = ("impact", "cost", "tech")
+        assert all(len(rule.antecedent) == 3 for rule in rulebase.rules)
+        triples = [tuple(dict(rule.antecedent)[n] for n in names)
+                   for rule in rulebase.rules]
+        assert sorted(triples) == sorted(itertools.product(
+            *(config.input(n).term_names() for n in names)))
 
     def test_single_rule(self):
         config, rulebase = parse_rulebase(SMALL)
@@ -70,12 +78,6 @@ class TestParseRulebase:
             parse_rulebase(bad)
         assert exc.value.line == 2
         assert exc.value.column == 5
-
-    def test_missing_combination_reported(self):
-        config, rulebase = parse_rulebase(SMALL)
-        missing = rulebase.missing_combinations(config)
-        assert len(missing) == 7  # 2^3 combinations, one covered
-        assert ("high", "low", "high") not in missing
 
     def test_comments_ignored(self):
         config, rulebase = parse_rulebase(

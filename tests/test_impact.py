@@ -68,7 +68,8 @@ class TestImpactMatrix:
         assert list(matrix.goals) == GOAL_IDS
         assert list(matrix.requirements) == REQ_IDS
         for (g, r), expected in EXPECTED_IMPACTS.items():
-            assert matrix.get(g, r) == pytest.approx(expected, abs=5e-3), (g, r)
+            assert matrix.rows.get(g, {}).get(r, 0.0) == pytest.approx(
+                expected, abs=5e-3), (g, r)
 
     def test_empty_rule_set(self):
         model = _model(["S"], ["R1"], [], "S")
@@ -83,7 +84,8 @@ class TestImpactMatrix:
         matrix = impact_matrix(model)
         for g in matrix.goals:
             for r in matrix.requirements:
-                assert matrix.get(g, r) == impact(model, g, r)
+                assert (matrix.rows.get(g, {}).get(r, 0.0)
+                        == impact(model, g, r))
 
     def test_csv_shape(self, obs):
         model, _ = obs
@@ -232,7 +234,8 @@ def messy_dags(draw):
 
 
 def _json_reference(matrix, goals):
-    return json.dumps({g: {r: matrix.get(g, r) for r in matrix.requirements}
+    return json.dumps({g: {r: matrix.rows.get(g, {}).get(r, 0.0)
+                           for r in matrix.requirements}
                        for g in goals}, indent=2) + "\n"
 
 
@@ -241,13 +244,15 @@ def _csv_reference(matrix, goals):
     lines = [",".join(["goal", *matrix.requirements])]
     for g in goals:
         lines.append(",".join(
-            [g, *(f"{matrix.get(g, r):.2f}" for r in matrix.requirements)]))
+            [g, *(f"{matrix.rows.get(g, {}).get(r, 0.0):.2f}"
+                  for r in matrix.requirements)]))
     return "\n".join(lines) + "\n"
 
 
 def _table_reference(matrix, goals):
     header = ["goal"] + list(matrix.requirements)
-    rows = [[g] + [f"{matrix.get(g, r):.2f}" for r in matrix.requirements]
+    rows = [[g] + [f"{matrix.rows.get(g, {}).get(r, 0.0):.2f}"
+                   for r in matrix.requirements]
             for g in goals]
     widths = [max(len(header[i]), *(len(r[i]) for r in rows)) if rows
               else len(header[i]) for i in range(len(header))]
@@ -266,7 +271,7 @@ class TestSinglePass:
         for g in matrix.goals:
             for r in matrix.requirements:
                 expected = brute_force_impact(model, g, r)
-                assert matrix.get(g, r) == expected, (g, r)
+                assert matrix.rows.get(g, {}).get(r, 0.0) == expected, (g, r)
                 assert impact(model, g, r) == expected, (g, r)
         assert all(v > 0.0 for v in matrix.entries.values())
 

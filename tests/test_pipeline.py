@@ -7,15 +7,23 @@ from hypothesis import given, settings, strategies as st
 import paps
 from obs_tables import EXPECTED_SUPPORT, GOAL_IDS
 from paps.fcl import FclError, parse_rulebase
-from paps.fuzzy import UniverseError, label
+from paps.fuzzy import (LinguisticVariable, UniverseError, VariableConfig,
+                        label)
 from paps.pipeline import prioritize, report_csv, report_json
 from paps.relax import relax_json, relax_srl
 
 
 def permuted_rules(order: list[int], rng) -> str:
-    """The default rule base with its VAR_INPUT blocks put in ``order`` and
-    its RULE lines shuffled by ``rng``."""
-    text = paps.default_rules_text()
+    """The default rule base with its VAR_INPUT blocks put in ``order``, and
+    its RULE lines and the TERM lines of every VAR block shuffled by
+    ``rng``."""
+    def shuffle_lines(match) -> str:
+        lines = match.group().splitlines(keepends=True)
+        rng.shuffle(lines)
+        return "".join(lines)
+
+    text = re.sub(r"(?:^ *TERM .*\n)+", shuffle_lines,
+                  paps.default_rules_text(), flags=re.M)
     blocks = re.findall(r"VAR_INPUT .*?END_VAR\n", text, re.S)
     rules = re.findall(r"^ *RULE .*\n", text, re.M)
     assert len(blocks) == 3 and len(rules) == 27
@@ -26,6 +34,13 @@ def permuted_rules(order: list[int], rng) -> str:
     rng.shuffle(rules)
     text = text.replace("RULEBLOCK\n", "RULEBLOCK\n" + "".join(rules), 1)
     return "".join(blocks[i] for i in order) + text
+
+
+def _entries(model, risk, config, rulebase) -> list:
+    """Every OBS goal's entries, the RDS to the last bit."""
+    return [[(e.requirement, e.rds.hex(), e.term, e.no_activation)
+             for e in prioritize(model, risk, g, config, rulebase)]
+            for g in GOAL_IDS]
 
 
 def _outputs(model, risk, config, rulebase) -> str:
@@ -155,6 +170,8 @@ class TestInputBinding:
                                                order, rng):
         model, risk = obs
         config, rulebase = parse_rulebase(permuted_rules(order, rng))
+        assert _entries(model, risk, config, rulebase) == _entries(
+            model, risk, *default_fis)
         assert _outputs(model, risk, config, rulebase) == _outputs(
             model, risk, *default_fis)
 
@@ -162,26 +179,50 @@ class TestInputBinding:
         ("tech", "skill"),                       # renamed
         ("VAR_INPUT tech", "VAR_INPUT extra"),   # tech missing, extra declared
     ])
-    def test_inputs_must_be_impact_cost_tech(self, obs, old, new):
-        model, risk = obs
+    def test_inputs_must_be_impact_cost_tech(self, old, new):
         text = paps.default_rules_text().replace(old, new)
         if old == "VAR_INPUT tech":
             text = text.replace(" AND tech IS high", "").replace(
                 " AND tech IS medium", "").replace(" AND tech IS low", "")
-        config, rulebase = parse_rulebase(text)
-        with pytest.raises(FclError, match="impact, cost and tech"):
-            prioritize(model, risk, "S", config, rulebase)
+        with pytest.raises(FclError, match="impact, cost and tech") as exc:
+            parse_rulebase(text)
+        assert (exc.value.line, exc.value.column) == (28, 1)
+
+    def test_missing_input_is_reported_at_the_start(self):
+        text = paps.default_rules_text()
+        text = text.replace(re.search(r"VAR_INPUT tech.*?END_VAR\n", text,
+                                      re.S).group(), "")
+        for term in ("high", "medium", "low"):
+            text = text.replace(f" AND tech IS {term}", "")
+        with pytest.raises(FclError) as exc:
+            parse_rulebase(text)
+        assert str(exc.value) == ("line 1, column 1: input variables must be "
+                                  "impact, cost and tech, got impact, cost")
 
     @pytest.mark.parametrize("output_range", ["(0.0 .. 2.0)", "(-0.5 .. 1.0)"])
-    def test_output_range_must_lie_inside_unit(self, obs, output_range):
-        model, risk = obs
-        config, rulebase = parse_rulebase(paps.default_rules_text().replace(
-            "RANGE := (0.0 .. 1.0);\n    TERM optional",
-            f"RANGE := {output_range};\n    TERM optional"))
+    def test_output_range_must_lie_inside_unit(self, output_range):
         with pytest.raises(FclError) as exc:
-            prioritize(model, risk, "S", config, rulebase)
+            parse_rulebase(paps.default_rules_text().replace(
+                "RANGE := (0.0 .. 1.0);\n    TERM optional",
+                f"RANGE := {output_range};\n    TERM optional"))
         assert exc.value.message == (f"output variable priority has RANGE "
                                      f"{output_range}, not inside [0, 1]")
+        assert (exc.value.line, exc.value.column) == (36, 5)
+
+    def test_prioritize_checks_a_config_built_in_code(self, obs, default_fis):
+        model, risk = obs
+        config, rulebase = default_fis
+        wide = LinguisticVariable("priority", (0.0, 2.0), config.output.terms)
+        for bad, message in [
+                (VariableConfig(config.inputs[:2], config.output),
+                 "input variables must be impact, cost and tech, "
+                 "got impact, cost"),
+                (VariableConfig(config.inputs, wide),
+                 "output variable priority has RANGE (0.0 .. 2.0), "
+                 "not inside [0, 1]")]:
+            with pytest.raises(FclError) as exc:
+                prioritize(model, risk, "S", bad, rulebase)
+            assert str(exc.value) == f"line 1, column 1: {message}"
 
     def test_value_outside_a_universe_names_the_requirement(self, obs):
         model, risk = obs
