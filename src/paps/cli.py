@@ -26,10 +26,18 @@ class _IOFailure(click.ClickException):
 
 def _read_text(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise _IOFailure(str(exc)) from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Lines split as the parsers split them, columns count characters;
+        # "x" stands for the bad byte, so a line break just before it counts.
+        lines = (data[:exc.start].decode("utf-8") + "x").splitlines()
+        _fail(f"{path}: line {len(lines)}, column {len(lines[-1])}: "
+              "not UTF-8 text")
 
 
 def _load_model(path: str):

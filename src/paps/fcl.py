@@ -109,10 +109,14 @@ def _read_var(kind: str, name: str, lines: Iterator[tuple[int, int, str]],
         raise FclError(lineno, 1, f"variable {name} has no RANGE")
     if not terms:
         raise FclError(lineno, 1, f"variable {name} has no terms")
-    try:
-        var = LinguisticVariable(name, var_range, tuple(terms))
-    except ValueError as exc:
-        raise FclError(lineno, 1, str(exc)) from exc
+    lo, hi = var_range
+    if not lo < hi:
+        raise FclError(*range_at, f"empty universe for {name}")
+    for term, mf in terms:
+        if mf.x0 < lo or mf.x3 > hi:
+            raise FclError(*term_at[term],
+                           f"term {name}.{term} lies outside the universe")
+    var = LinguisticVariable(name, var_range, tuple(terms))
     if name in inputs or (output is not None and name == output.name):
         raise FclError(lineno, 1, f"duplicate variable {name}")
     if kind == "input":

@@ -34,15 +34,22 @@ _NUM = r"[-+]?(?:\d+\.?\d*|\.\d+)"
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
 _STR = r'"((?:[^"\\]|\\.)*)"'
 
-_OPTION_RE = re.compile(rf"option\s+({_ID})\s*=\s*({_NUM})\s*$")
-_GOAL_RE = re.compile(rf"goal\s+({_ID})\s+{_STR}\s*$")
-_REQ_RE = re.compile(rf"req\s+({_ID})\s+{_STR}((?:\s+{_ID}={_NUM}|\s+{_ID}={_STR})*)\s*$")
+# keyword -> (line pattern, expected form named in the malformed-line error)
+_LINES = {
+    "option": (re.compile(rf"option\s+({_ID})\s*=\s*({_NUM})\s*$"), ""),
+    "goal": (re.compile(rf"goal\s+({_ID})\s+{_STR}\s*$"),
+             ', expected: goal <ID> "<description>"'),
+    "req": (re.compile(
+        rf"req\s+({_ID})\s+{_STR}((?:\s+{_ID}={_NUM}|\s+{_ID}={_STR})*)\s*$"),
+        ', expected: req <ID> "<description>" cost=<num> tech=<num> ...'),
+    "rule": (re.compile(rf"rule\s+({_ID})\s*:\s*({_ID})\s*->\s*"
+                        rf"({_ID}(?:\s+{_ID})*)\s*@\s*({_NUM})\s*$"),
+             ", expected: rule <ID>: <Goal> -> <ID> ... @ <num>"),
+}
 _ATTR_RE = re.compile(rf"({_ID})=(?:({_NUM})|{_STR})")
-_RULE_RE = re.compile(
-    rf"rule\s+({_ID})\s*:\s*({_ID})\s*->\s*({_ID}(?:\s+{_ID})*)\s*@\s*({_NUM})\s*$")
-
-_KNOWN_OPTIONS = {"cost_scale"}
-_REQ_ATTRS = {"cost", "tech", "metric", "connector", "ov"}
+# requirement attribute -> the kind of value it takes
+_ATTRS = {"cost": "numeric", "tech": "numeric", "ov": "numeric",
+          "metric": "quoted", "connector": "quoted"}
 
 
 def _unescape(text: str) -> str:
@@ -53,141 +60,106 @@ def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def _declare(seen: dict[str, tuple[int, int]], key: str, name: str,
+             line: int, col: int) -> None:
+    """Record ``key`` at (line, col), or fail, calling it ``name``, if
+    ``seen`` already has it."""
+    if key in seen:
+        raise SrmError(line, col,
+                       f"{name} already declared on line {seen[key][0]}")
+    seen[key] = (line, col)
+
+
 def parse_model(text: str) -> tuple[SecurityModel, RiskProfile]:
     goals: list[Goal] = []
     requirements: list[Requirement] = []
     rules: list[DerivationRule] = []
     cost: dict[str, float] = {}
     tech: dict[str, float] = {}
-    declared: dict[str, int] = {}
-    rule_ids: dict[str, int] = {}
-    option_lines: dict[str, int] = {}
-    cost_scale = 1.0
-    body_seen = False
+    declared: dict[str, tuple[int, int]] = {}  # goal and requirement ids
+    rule_at: dict[str, tuple[int, int]] = {}
+    cost_scale, scale_line = 1.0, 0  # line 0: cost_scale not set
+    lines = text.splitlines()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         col = len(raw) - len(raw.lstrip()) + 1
         keyword = line.split(None, 1)[0]
+        if keyword not in _LINES:
+            raise SrmError(lineno, col, f"unknown directive {keyword!r}")
+        pattern, expected = _LINES[keyword]
+        m = pattern.match(line)
+        if not m:
+            raise SrmError(lineno, col, f"malformed {keyword} line{expected}")
 
         if keyword == "option":
-            m = _OPTION_RE.match(line)
-            if not m:
-                raise SrmError(lineno, col, "malformed option line")
-            if body_seen:
+            # every line before this one that parsed declared an id
+            if declared or rules:
                 raise SrmError(lineno, col,
                                "options must precede declarations")
             name, value = m.group(1), float(m.group(2))
-            if name not in _KNOWN_OPTIONS:
+            if name != "cost_scale":
                 raise SrmError(lineno, col, f"unknown option {name!r}")
-            if name in option_lines:
+            if scale_line:
                 raise SrmError(lineno, col, f"option {name} already set "
-                                            f"on line {option_lines[name]}")
-            option_lines[name] = lineno
+                                            f"on line {scale_line}")
             if value <= 0:
                 raise SrmError(lineno, col, f"{name} must be positive")
-            cost_scale = value
-            continue
-
-        body_seen = True
-        if keyword == "goal":
-            m = _GOAL_RE.match(line)
-            if not m:
-                raise SrmError(lineno, col,
-                               'malformed goal line, expected: goal <ID> "<description>"')
-            goal_id = m.group(1)
-            if goal_id in declared:
-                raise SrmError(lineno, col,
-                               f"{goal_id} already declared on line {declared[goal_id]}")
-            declared[goal_id] = lineno
-            goals.append(Goal(goal_id, _unescape(m.group(2))))
+            cost_scale, scale_line = value, lineno
+        elif keyword == "goal":
+            _declare(declared, m.group(1), m.group(1), lineno, col)
+            goals.append(Goal(m.group(1), _unescape(m.group(2))))
         elif keyword == "req":
-            m = _REQ_RE.match(line)
-            if not m:
-                raise SrmError(
-                    lineno, col,
-                    'malformed req line, expected: req <ID> "<description>" '
-                    "cost=<num> tech=<num> ...")
             req_id = m.group(1)
-            if req_id in declared:
-                raise SrmError(lineno, col,
-                               f"{req_id} already declared on line {declared[req_id]}")
-            declared[req_id] = lineno
-            attrs: dict[str, str | float] = {}
-            for am in _ATTR_RE.finditer(m.group(3)):
-                name = am.group(1)
-                if name not in _REQ_ATTRS:
+            _declare(declared, req_id, req_id, lineno, col)
+            attrs: dict[str, float | str] = {}
+            for name, number, quoted in _ATTR_RE.findall(m.group(3)):
+                if name not in _ATTRS:
                     raise SrmError(lineno, col, f"unknown attribute {name!r}")
                 if name in attrs:
                     raise SrmError(lineno, col, f"duplicate attribute {name!r}")
-                if am.group(2) is not None:
-                    if name in ("metric", "connector"):
-                        raise SrmError(lineno, col,
-                                       f"attribute {name} needs a quoted value")
-                    attrs[name] = float(am.group(2))
-                else:
-                    if name in ("cost", "tech", "ov"):
-                        raise SrmError(lineno, col,
-                                       f"attribute {name} needs a numeric value")
-                    attrs[name] = _unescape(am.group(3))
+                if (_ATTRS[name] == "numeric") != bool(number):
+                    raise SrmError(lineno, col, f"attribute {name} needs a "
+                                                f"{_ATTRS[name]} value")
+                attrs[name] = float(number) if number else _unescape(quoted)
             for required in ("cost", "tech"):
                 if required not in attrs:
                     raise SrmError(lineno, col,
                                    f"req {req_id} is missing {required}=")
-            raw_cost = float(attrs["cost"]) / cost_scale
-            raw_tech = float(attrs["tech"])
-            if not 0.0 <= raw_cost <= 1.0:
+            cost[req_id] = attrs["cost"] / cost_scale
+            if not 0.0 <= cost[req_id] <= 1.0:
                 raise SrmError(lineno, col,
                                f"cost {attrs['cost']} outside [0, {cost_scale:g}]")
-            if not 0.0 <= raw_tech <= 1.0:
-                raise SrmError(lineno, col,
-                               f"tech {raw_tech} outside [0, 1]")
-            ov = attrs.get("ov")
-            if ov is not None and float(ov) <= 0:
+            tech[req_id] = attrs["tech"]
+            if not 0.0 <= tech[req_id] <= 1.0:
+                raise SrmError(lineno, col, f"tech {tech[req_id]} outside [0, 1]")
+            if attrs.get("ov", 1.0) <= 0:
                 raise SrmError(lineno, col, "ov must be positive")
             requirements.append(Requirement(
-                req_id, _unescape(m.group(2)),
-                metric=attrs.get("metric"),
-                connector=attrs.get("connector"),
-                ov=float(ov) if ov is not None else None))
-            cost[req_id] = raw_cost
-            tech[req_id] = raw_tech
-        elif keyword == "rule":
-            m = _RULE_RE.match(line)
-            if not m:
-                raise SrmError(
-                    lineno, col,
-                    "malformed rule line, expected: rule <ID>: <Goal> -> <ID> ... @ <num>")
-            rule_id, head, body_src, degree_src = m.groups()
-            if rule_id in rule_ids:
-                raise SrmError(lineno, col,
-                               f"rule {rule_id} already declared on line {rule_ids[rule_id]}")
-            rule_ids[rule_id] = lineno
+                req_id, _unescape(m.group(2)), metric=attrs.get("metric"),
+                connector=attrs.get("connector"), ov=attrs.get("ov")))
+        else:
+            rule_id, head, body, degree_src = m.groups()
+            _declare(rule_at, rule_id, f"rule {rule_id}", lineno, col)
             degree = float(degree_src)
             if not 0.0 <= degree <= 1.0:
                 raise SrmError(lineno, col, f"degree {degree_src} outside [0, 1]")
-            rules.append(DerivationRule(rule_id, head,
-                                        tuple(body_src.split()), degree))
-        else:
-            raise SrmError(lineno, col, f"unknown directive {keyword!r}")
+            rules.append(DerivationRule(rule_id, head, tuple(body.split()),
+                                        degree))
 
     if not goals:
-        raise SrmError(len(text.splitlines()) + 1, 1, "no goals declared")
-
-    model = SecurityModel(tuple(goals), tuple(requirements), tuple(rules),
-                          root=goals[0].id)
-    risk = RiskProfile(cost, tech)
-
+        raise SrmError(len(lines) + 1, 1, "no goals declared")
     # references must resolve; report the first offender with its position
-    known = set(declared)
-    for rule in model.rules:
+    for rule in rules:
         for node in (rule.head, *rule.body):
-            if node not in known:
-                raise SrmError(rule_ids[rule.id], 1,
+            if node not in declared:
+                raise SrmError(*rule_at[rule.id],
                                f"rule {rule.id} references undeclared id {node!r}")
-    return model, risk
+    return (SecurityModel(tuple(goals), tuple(requirements), tuple(rules),
+                          root=goals[0].id),
+            RiskProfile(cost, tech))
 
 
 def format_number(value: float) -> str:

@@ -46,6 +46,16 @@ class TestValidate:
         assert result.exit_code == 1
         assert "line 2" in result.output
 
+    def test_non_utf8_model_exits_one_with_position(self, runner, tmp_path):
+        path = tmp_path / "latin1.srm"
+        # the bad byte follows six characters in eight bytes on line 2
+        path.write_bytes('goal S "s"\n# \u00e9t\u00e9 '.encode() + b"\xff\n")
+        result = _invoke(runner, "validate", str(path))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            f"error: {path}: line 2, column 7: not UTF-8 text\n")
+
 
 class TestImpacts:
     def test_csv_single_goal_row(self, runner, obs_path):
@@ -166,6 +176,19 @@ class TestPrioritize:
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {rules}: requirement R")
         assert "cost=0.05 outside universe [0.1, 1.0]" in lines[0]
+
+    def test_non_utf8_rulebase_exits_one_with_position(self, runner, obs_path,
+                                                      tmp_path):
+        # past the first 8 KiB, so the line is counted from the file's start
+        text = "// padding\n" * 1000 + paps.default_rules_text()
+        rules = tmp_path / "latin1.rules"
+        rules.write_bytes(text.encode() + b"// \xff\n")
+        line = len(text.splitlines()) + 1
+        result = _invoke(runner, "prioritize", obs_path, "--rules", str(rules))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            f"error: {rules}: line {line}, column 4: not UTF-8 text\n")
 
     def test_rulebase_with_other_inputs_exits_one(self, runner, obs_path,
                                                  tmp_path):

@@ -90,6 +90,24 @@ class TestParseRulebase:
         with pytest.raises(FclError, match="ordered"):
             parse_rulebase(bad)
 
+    @pytest.mark.parametrize("old,new,where,message", [
+        ("TERM high := (0.5, 0.75, 1, 1);", "TERM high := (0.5, 0.75, 1, 1.5);",
+         "TERM high", "term impact.high lies outside the universe"),
+        ("RANGE := (0.0 .. 1.0);", "RANGE := (0.1 .. 1.0);",
+         "TERM low", "term impact.low lies outside the universe"),
+        ("RANGE := (0.0 .. 1.0);", "RANGE := (1.0 .. 0.0);",
+         "RANGE", "empty universe for impact"),
+    ], ids=["term-above-range", "term-below-range", "empty-range"])
+    def test_universe_errors_at_the_offending_line(self, old, new, where,
+                                                   message):
+        text = paps.default_rules_text().replace(old, new, 1)
+        line = next(n for n, raw in enumerate(text.splitlines(), start=1)
+                    if raw.strip().startswith(where))
+        with pytest.raises(FclError) as exc:
+            parse_rulebase(text)
+        assert (exc.value.line, exc.value.column) == (line, 5)
+        assert exc.value.message == message
+
     def test_second_output_variable_rejected_at_its_end_var(self):
         urgency = ("VAR_OUTPUT urgency\n    RANGE := (0.0 .. 1.0);\n"
                    "    TERM soon := (0, 0, 0.5, 1);\nEND_VAR\n")

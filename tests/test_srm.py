@@ -11,6 +11,8 @@ MINIMAL = (
     'req R1 "x" cost=0.1 tech=1.0\n'
     'rule P1: S -> R1 @ 0.7\n'
 )
+GOAL = 'goal S "root"\n'
+REQ = 'req R1 "x" cost=0.1 tech=1.0\n'
 
 
 class TestParse:
@@ -76,6 +78,144 @@ class TestParse:
     def test_crlf_accepted(self):
         model, _ = parse_model(MINIMAL.replace("\n", "\r\n"))
         assert len(model.rules) == 1
+
+    @pytest.mark.parametrize("text,line,column,message", [
+        pytest.param(
+            "  option cost_scale 100\n" + GOAL, 1, 3, "malformed option line",
+            id="malformed-option"),
+        pytest.param(
+            "  goal S\n", 1, 3,
+            'malformed goal line, expected: goal <ID> "<description>"',
+            id="malformed-goal"),
+        pytest.param(
+            GOAL + '  req R1 "x" cost=0.1 tech=high\n', 2, 3,
+            'malformed req line, expected: req <ID> "<description>" '
+            "cost=<num> tech=<num> ...",
+            id="malformed-req"),
+        pytest.param(
+            GOAL + "  rule P1 S -> R1 @ 0.5\n", 2, 3,
+            "malformed rule line, expected: rule <ID>: <Goal> -> <ID> ... @ <num>",
+            id="malformed-rule"),
+        pytest.param(
+            "  option colour = 1\n" + GOAL, 1, 3, "unknown option 'colour'",
+            id="unknown-option"),
+        pytest.param(
+            GOAL + "  option cost_scale = 100\n", 2, 3,
+            "options must precede declarations", id="late-option"),
+        pytest.param(
+            "  option cost_scale = 0\n" + GOAL, 1, 3,
+            "cost_scale must be positive", id="zero-option"),
+        pytest.param(
+            "  option cost_scale = -2\n" + GOAL, 1, 3,
+            "cost_scale must be positive", id="negative-option"),
+        pytest.param(
+            "option cost_scale = 100\n  option cost_scale = 10\n" + GOAL, 2, 3,
+            "option cost_scale already set on line 1", id="repeated-option"),
+        pytest.param(
+            GOAL + '  goal S "again"\n', 2, 3, "S already declared on line 1",
+            id="duplicate-goal"),
+        pytest.param(
+            GOAL + REQ + '  req R1 "again" cost=0.1 tech=1.0\n', 3, 3,
+            "R1 already declared on line 2", id="duplicate-req"),
+        pytest.param(
+            GOAL + '  req S "x" cost=0.1 tech=1.0\n', 2, 3,
+            "S already declared on line 1", id="req-reuses-goal-id"),
+        pytest.param(
+            GOAL + REQ + "rule P1: S -> R1 @ 0.5\n  rule P1: S -> R1 @ 0.6\n",
+            4, 3, "rule P1 already declared on line 3", id="duplicate-rule"),
+        pytest.param(
+            GOAL + '  req R1 "x" cost=0.1 tech=1.0 colour=1\n', 2, 3,
+            "unknown attribute 'colour'", id="unknown-attribute"),
+        pytest.param(
+            GOAL + '  req R1 "x" cost=0.1 tech=1.0 cost=0.2\n', 2, 3,
+            "duplicate attribute 'cost'", id="repeated-attribute"),
+        pytest.param(
+            GOAL + '  req R1 "x" cost=0.1 tech=1.0 metric=5\n', 2, 3,
+            "attribute metric needs a quoted value", id="numeric-metric"),
+        pytest.param(
+            GOAL + '  req R1 "x" cost=0.1 tech=1.0 connector=1\n', 2, 3,
+            "attribute connector needs a quoted value", id="numeric-connector"),
+        pytest.param(
+            GOAL + '  req R1 "x" cost="cheap" tech=1.0\n', 2, 3,
+            "attribute cost needs a numeric value", id="quoted-cost"),
+        pytest.param(
+            GOAL + '  req R1 "x" cost=0.1 tech=1.0 ov="9"\n', 2, 3,
+            "attribute ov needs a numeric value", id="quoted-ov"),
+        pytest.param(
+            GOAL + '  req R1 "x" tech=1.0\n', 2, 3, "req R1 is missing cost=",
+            id="missing-cost"),
+        pytest.param(
+            GOAL + '  req R1 "x" cost=0.1\n', 2, 3, "req R1 is missing tech=",
+            id="missing-tech"),
+        pytest.param(
+            GOAL + '  req R1 "x" cost=1.5 tech=1.0\n', 2, 3,
+            "cost 1.5 outside [0, 1]", id="cost-out-of-range"),
+        pytest.param(
+            "option cost_scale = 100\n" + GOAL
+            + '  req R1 "x" cost=150 tech=1.0\n', 3, 3,
+            "cost 150.0 outside [0, 100]", id="scaled-cost-out-of-range"),
+        pytest.param(
+            "option cost_scale = 2.5\n" + GOAL + '  req R1 "x" cost=3 tech=1.0\n',
+            3, 3, "cost 3.0 outside [0, 2.5]", id="fractional-scale"),
+        pytest.param(
+            GOAL + '  req R1 "x" cost=-0 tech=2\n', 2, 3,
+            "tech 2.0 outside [0, 1]", id="tech-out-of-range"),
+        pytest.param(
+            "option cost_scale = 100\n" + GOAL
+            + '  req R1 "x" cost=50 tech=1.5\n', 3, 3,
+            "tech 1.5 outside [0, 1]", id="scaled-tech-out-of-range"),
+        pytest.param(
+            GOAL + '  req R1 "x" cost=0.1 tech=1.0 ov=0\n', 2, 3,
+            "ov must be positive", id="zero-ov"),
+        pytest.param(
+            GOAL + '  req R1 "x" cost=0.1 tech=1.0 ov=-3\n', 2, 3,
+            "ov must be positive", id="negative-ov"),
+        pytest.param(
+            GOAL + REQ + "  rule P1: S -> R1 @ 1.2\n", 3, 3,
+            "degree 1.2 outside [0, 1]", id="degree-above-one"),
+        pytest.param(
+            GOAL + REQ + "  rule P1: S -> R1 @ -.5\n", 3, 3,
+            "degree -.5 outside [0, 1]", id="degree-below-zero"),
+        pytest.param(
+            GOAL + "  foo bar\n", 2, 3, "unknown directive 'foo'",
+            id="unknown-directive"),
+        pytest.param(
+            GOAL + '  goal"S"\n', 2, 3, "unknown directive 'goal\"S\"'",
+            id="keyword-without-space"),
+        pytest.param("# only a comment\n\n", 3, 1, "no goals declared",
+                     id="no-goals"),
+        pytest.param("", 1, 1, "no goals declared", id="empty"),
+        pytest.param(
+            GOAL + "rule P1: G2 -> S @ 0.5\n", 2, 1,
+            "rule P1 references undeclared id 'G2'", id="undeclared-head"),
+        pytest.param(
+            GOAL + "  rule P1: S -> R9 @ 0.5\n", 2, 3,
+            "rule P1 references undeclared id 'R9'",
+            id="undeclared-body-indented"),
+        pytest.param(
+            GOAL + REQ + "    rule P1: S -> R1 @ 0.5\n  rule P2: S -> X @ 0.5\n",
+            4, 3, "rule P2 references undeclared id 'X'",
+            id="undeclared-after-a-valid-rule"),
+        # the order of the checks on one line
+        pytest.param(
+            GOAL + '  req R1 "x" colour=1\n', 2, 3, "unknown attribute 'colour'",
+            id="attributes-before-missing"),
+        pytest.param(
+            GOAL + '  req R1 "x" tech=2 ov=0 metric=1\n', 2, 3,
+            "attribute metric needs a quoted value", id="types-before-missing"),
+        pytest.param(
+            GOAL + '  req R1 "x" cost=2 tech=2 ov=0\n', 2, 3,
+            "cost 2.0 outside [0, 1]", id="cost-before-tech-before-ov"),
+        pytest.param(
+            GOAL + '  req S "x" colour=1\n', 2, 3,
+            "S already declared on line 1", id="duplicate-before-attributes"),
+    ])
+    def test_every_error_text_and_position(self, text, line, column, message):
+        with pytest.raises(SrmError) as exc:
+            parse_model(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert exc.value.message == message
+        assert str(exc.value) == f"line {line}, column {column}: {message}"
 
     def test_connector_and_metric_attributes(self, obs):
         model, _ = obs
