@@ -5,10 +5,11 @@ Exit codes: 0 success, 1 validation/parse/domain failure, 2 I/O or usage.
 
 from __future__ import annotations
 
+import argparse
+import codecs
+import os
 import sys
-from typing import Callable
-
-import click
+from typing import Callable, NoReturn
 
 from . import __version__, default_rules_text
 from .fcl import FclError, parse_rulebase
@@ -20,16 +21,14 @@ from .relax import RenderError, relax_json, relax_srl, relax_text
 from .srm import SrmError, parse_model
 
 
-class _IOFailure(click.ClickException):
-    exit_code = 2
+def _fail(message: str, code: int = 1) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    sys.exit(code)
 
 
 def _read_text(path: str) -> str:
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as exc:
-        raise _IOFailure(str(exc)) from exc
+    with open(path, "rb") as handle:
+        data = handle.read().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -59,73 +58,37 @@ def _load_rules(path: str | None):
         _fail(f"{_rules_source(path)}: {exc}")
 
 
-def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(1)
-
-
 def _check_valid(model, risk) -> None:
     report = validate_model(model, risk)
     if not report.ok:
         for finding in report.errors:
-            click.echo(str(finding), err=True)
+            print(finding, file=sys.stderr)
         sys.exit(1)
 
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
     else:
-        try:
-            with open(out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise _IOFailure(str(exc)) from exc
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
 
 
-_model_arg = click.argument("model_path", type=click.Path(exists=True, dir_okay=False))
-_goal_opt = click.option("--goal", "goal", default=None,
-                         help="Restrict to one goal (default: all / the root).")
-_rules_opt = click.option("--rules", "rules_path", default=None,
-                          type=click.Path(exists=True, dir_okay=False),
-                          help="Rule-base file (default: bundled rules).")
-_format_opt = click.option("--format", "fmt",
-                           type=click.Choice(["table", "csv", "json"]),
-                           default="table", show_default=True)
-_out_opt = click.option("--out", "out", default=None,
-                        type=click.Path(dir_okay=False, writable=True),
-                        help="Write output to a file instead of stdout.")
-
-
-@click.group()
-@click.version_option(__version__, prog_name="paps")
-def main() -> None:
-    """Prioritize and partially select security requirements of a goal model."""
-
-
-@main.command()
-@_model_arg
-def validate(model_path: str) -> None:
+def _validate(model_path: str) -> None:
     """Check a model file against all structural invariants."""
     model, risk = _load_model(model_path)
     report = validate_model(model, risk)
     for finding in report.findings:
-        click.echo(str(finding))
-    if report.ok:
-        click.echo(f"ok: {len(model.goals)} goals, "
-                   f"{len(model.requirements)} requirements, "
-                   f"{len(model.rules)} rules"
-                   + (f", {len(report.warnings)} warning(s)"
-                      if report.warnings else ""))
-    sys.exit(0 if report.ok else 1)
+        print(finding)
+    if not report.ok:
+        sys.exit(1)
+    print(f"ok: {len(model.goals)} goals, {len(model.requirements)} "
+          f"requirements, {len(model.rules)} rules"
+          + (f", {len(report.warnings)} warning(s)" if report.warnings else ""))
 
 
-@main.command()
-@_model_arg
-@_goal_opt
-@_format_opt
-@_out_opt
-def impacts(model_path: str, goal: str | None, fmt: str, out: str | None) -> None:
+def _impacts(model_path: str, goal: str | None, fmt: str,
+             out: str | None) -> None:
     """Print the goal x requirement impact matrix."""
     model, risk = _load_model(model_path)
     _check_valid(model, risk)
@@ -137,14 +100,14 @@ def impacts(model_path: str, goal: str | None, fmt: str, out: str | None) -> Non
     _emit(render(None if goal is None else [goal]), out)
 
 
-def _for_goal(model_path: str, goal: str | None, rules_path: str | None,
+def _for_goal(model_path: str, goal: str | None, rules: str | None,
               run: Callable):
     """``run(model, risk, goal, config, rulebase)`` on a valid model, goal
     (default: the root) and rule base; any failure is reported on stderr
     and ends the command with exit code 1."""
     model, risk = _load_model(model_path)
     _check_valid(model, risk)
-    config, rulebase = _load_rules(rules_path)
+    config, rulebase = _load_rules(rules)
     target = goal or model.root
     if target not in model.goal_ids():
         _fail(f"unknown goal {target!r}")
@@ -153,37 +116,97 @@ def _for_goal(model_path: str, goal: str | None, rules_path: str | None,
     except RenderError as exc:
         _fail(str(exc))
     except UniverseError as exc:
-        _fail(f"{_rules_source(rules_path)}: {exc}")
+        _fail(f"{_rules_source(rules)}: {exc}")
 
 
-@main.command("prioritize")
-@_model_arg
-@_goal_opt
-@_rules_opt
-@_format_opt
-@_out_opt
-def prioritize_cmd(model_path: str, goal: str | None, rules_path: str | None,
-                   fmt: str, out: str | None) -> None:
+def _prioritize(model_path: str, goal: str | None, rules: str | None,
+                fmt: str, out: str | None) -> None:
     """Rank the requirements contributing to a goal (default: the root)."""
-    entries = _for_goal(model_path, goal, rules_path, prioritize)
+    entries = _for_goal(model_path, goal, rules, prioritize)
     render = {"json": report_json, "csv": report_csv,
               "table": report_table}[fmt]
     _emit(render(entries), out)
 
 
-@main.command("relax")
-@_model_arg
-@_goal_opt
-@_rules_opt
-@click.option("--format", "fmt", type=click.Choice(["table", "json"]),
-              default="table", show_default=True)
-@_out_opt
-def relax_cmd(model_path: str, goal: str | None, rules_path: str | None,
-              fmt: str, out: str | None) -> None:
+def _relax(model_path: str, goal: str | None, rules: str | None,
+           fmt: str, out: str | None) -> None:
     """Emit relaxed requirement statements for a goal (default: the root)."""
-    statements = _for_goal(model_path, goal, rules_path, relax_srl)
+    statements = _for_goal(model_path, goal, rules, relax_srl)
     render = {"json": relax_json, "table": relax_text}[fmt]
     _emit(render(statements), out)
+
+
+# (option, metavar, help)
+_GOAL = ("--goal", "ID", "Restrict to one goal (default: all / the root).")
+_RULES = ("--rules", "FILE", "Rule-base file (default: bundled rules).")
+# command -> (its body, whose docstring is its help; the options it takes
+# besides --format and --out; its --format choices, none for no output)
+_COMMANDS = {
+    "validate": (_validate, (), ()),
+    "impacts": (_impacts, (_GOAL,), ("table", "csv", "json")),
+    "prioritize": (_prioritize, (_GOAL, _RULES), ("table", "csv", "json")),
+    "relax": (_relax, (_GOAL, _RULES), ("table", "json")),
+}
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=prog, add_help=False, allow_abbrev=False,
+        description="Prioritize and partially select security requirements "
+                    "of a goal model.")
+    parser.add_argument("--version", action="version",
+                        version=f"paps, version {__version__}",
+                        help="Show the version and exit.")
+    parser.add_argument("--help", action="help",
+                        help="Show this message and exit.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND",
+                                     required=True)
+    for name, (body, options, formats) in _COMMANDS.items():
+        command = commands.add_parser(
+            name, help=body.__doc__, description=body.__doc__,
+            add_help=False, allow_abbrev=False)
+        command.set_defaults(body=body)
+        command.add_argument("model_path", metavar="MODEL",
+                             help="Model file (.srm).")
+        for option, metavar, text in options:
+            command.add_argument(option, metavar=metavar, help=text)
+        if formats:
+            command.add_argument("--format", dest="fmt", choices=formats,
+                                 default="table", help="(default: table)")
+            command.add_argument("--out", metavar="FILE", help="Write output "
+                                 "to a file instead of stdout.")
+        command.add_argument("--help", action="help",
+                             help="Show this message and exit.")
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None
+         ) -> NoReturn:
+    """Run one ``paps`` command line (default: ``sys.argv[1:]``); every run
+    ends in ``SystemExit`` with the exit code."""
+    for stream in sys.stdout, sys.stderr:
+        # A stream set to ASCII (the C locale without UTF-8 mode) writes
+        # UTF-8 instead, so relax's multiplication sign still prints.
+        if codecs.lookup(getattr(stream, "encoding", None)
+                         or "utf-8").name == "ascii":
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
+    try:
+        try:
+            options = vars(_parser(prog_name or "paps").parse_args(args))
+            options.pop("body")(**options)
+        finally:
+            sys.stdout.flush()  # a closed pipe fails here, not at shutdown
+    except BrokenPipeError:
+        # stdout's reader has gone: stop quietly, and point stdout at
+        # devnull so the interpreter's own flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    except OSError as exc:  # a model, --rules or --out that cannot be used
+        _fail(str(exc), code=2)
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        sys.exit(1)
+    sys.exit(0)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ exactly impact, cost and tech, and the output's RANGE must lie inside
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Iterator, Mapping
 
@@ -73,6 +74,13 @@ def check_inputs(config: VariableConfig,
                        f"RANGE ({lo} .. {hi}), not inside [0, 1]")
 
 
+def _numbers(texts: tuple[str, ...], line: int, col: int) -> tuple[float, ...]:
+    values = tuple(map(float, texts))
+    if any(map(math.isinf, values)):  # a digit string too long for a float
+        raise FclError(line, col, "number too large")
+    return values
+
+
 def _read_var(kind: str, name: str, lines: Iterator[tuple[int, int, str]],
               eof: int, inputs: Mapping[str, LinguisticVariable],
               output: LinguisticVariable | None
@@ -88,7 +96,7 @@ def _read_var(kind: str, name: str, lines: Iterator[tuple[int, int, str]],
         if m:
             if var_range is not None:
                 raise FclError(lineno, col, "RANGE declared twice")
-            var_range = (float(m.group(1)), float(m.group(2)))
+            var_range = _numbers(m.groups(), lineno, col)
             range_at = (lineno, col)
             continue
         m = _TERM_RE.match(line)
@@ -98,7 +106,7 @@ def _read_var(kind: str, name: str, lines: Iterator[tuple[int, int, str]],
         if term in term_at:
             raise FclError(lineno, col, f"duplicate term {name}.{term}")
         try:
-            mf = TrapezoidMF(*(float(m.group(i)) for i in range(2, 6)))
+            mf = TrapezoidMF(*_numbers(m.groups()[1:], lineno, col))
         except ValueError as exc:
             raise FclError(lineno, col, str(exc)) from exc
         terms.append((term, mf))

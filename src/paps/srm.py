@@ -14,6 +14,7 @@ can state costs on a [0, 100] scale while the toolkit works on [0, 1].
 
 from __future__ import annotations
 
+import math
 import re
 
 from .model import (DerivationRule, Goal, Requirement, RiskProfile,
@@ -60,6 +61,13 @@ def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def _number(text: str, line: int, col: int) -> float:
+    value = float(text)
+    if math.isinf(value):  # a digit string too long for a float
+        raise SrmError(line, col, "number too large")
+    return value
+
+
 def _declare(seen: dict[str, tuple[int, int]], key: str, name: str,
              line: int, col: int) -> None:
     """Record ``key`` at (line, col), or fail, calling it ``name``, if
@@ -99,7 +107,7 @@ def parse_model(text: str) -> tuple[SecurityModel, RiskProfile]:
             if declared or rules:
                 raise SrmError(lineno, col,
                                "options must precede declarations")
-            name, value = m.group(1), float(m.group(2))
+            name, value = m.group(1), _number(m.group(2), lineno, col)
             if name != "cost_scale":
                 raise SrmError(lineno, col, f"unknown option {name!r}")
             if scale_line:
@@ -123,7 +131,8 @@ def parse_model(text: str) -> tuple[SecurityModel, RiskProfile]:
                 if (_ATTRS[name] == "numeric") != bool(number):
                     raise SrmError(lineno, col, f"attribute {name} needs a "
                                                 f"{_ATTRS[name]} value")
-                attrs[name] = float(number) if number else _unescape(quoted)
+                attrs[name] = (_number(number, lineno, col) if number
+                               else _unescape(quoted))
             for required in ("cost", "tech"):
                 if required not in attrs:
                     raise SrmError(lineno, col,
@@ -143,7 +152,7 @@ def parse_model(text: str) -> tuple[SecurityModel, RiskProfile]:
         else:
             rule_id, head, body, degree_src = m.groups()
             _declare(rule_at, rule_id, f"rule {rule_id}", lineno, col)
-            degree = float(degree_src)
+            degree = _number(degree_src, lineno, col)
             if not 0.0 <= degree <= 1.0:
                 raise SrmError(lineno, col, f"degree {degree_src} outside [0, 1]")
             rules.append(DerivationRule(rule_id, head, tuple(body.split()),

@@ -8,13 +8,12 @@ import random
 import time
 
 import pytest
-from click.testing import CliRunner
 
 import paps
+from cli_runner import invoke
 from generators import random_dag_model, random_valid_model
 from obs_tables import (EXPECTED_IMPACTS, EXPECTED_METRICS, EXPECTED_SUPPORT,
                         GOAL_IDS, REQ_IDS)
-from paps.cli import main
 from paps.fuzzy import TrapezoidMF, defuzzify_cog, mf_eval
 from paps.relax import DeviationMembership, deviation_degree
 
@@ -25,8 +24,7 @@ def _passed(n: int, text: str) -> None:
 
 def test_criterion_1_impact_matrix_reproduction(obs_path):
     started = time.perf_counter()
-    result = CliRunner().invoke(
-        main, ["impacts", obs_path, "--format", "csv"])
+    result = invoke(["impacts", obs_path, "--format", "csv"])
     elapsed = time.perf_counter() - started
     assert result.exit_code == 0
     lines = result.output.strip().splitlines()
@@ -143,7 +141,7 @@ def test_criterion_6_label_set_fidelity(obs, default_fis):
 
 
 def test_criterion_7_relax_rendering(obs_path):
-    result = CliRunner().invoke(main, ["relax", obs_path, "--goal", "S"])
+    result = invoke(["relax", obs_path, "--goal", "S"])
     assert result.exit_code == 0
     lines = result.output.strip().splitlines()
     assert len(lines) == 12

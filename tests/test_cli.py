@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import subprocess
@@ -5,20 +6,20 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import paps
+import paps.cli
+from cli_runner import invoke
 from obs_tables import EXPECTED_METRICS, GOAL_IDS, REQ_IDS
-from paps.cli import main
 
 
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return invoke
 
 
 def _invoke(runner, *args):
-    return runner.invoke(main, list(args))
+    return runner(args)
 
 
 class TestValidate:
@@ -55,6 +56,23 @@ class TestValidate:
         assert isinstance(result.exception, SystemExit)
         assert result.output == (
             f"error: {path}: line 2, column 7: not UTF-8 text\n")
+
+    @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
+    def test_bad_byte_column_does_not_count_a_byte_order_mark(
+            self, runner, tmp_path, bom):
+        path = tmp_path / "latin1.srm"
+        path.write_bytes(bom + b'goal S "caf\xe9"\n')
+        result = _invoke(runner, "validate", str(path))
+        assert result.exit_code == 1
+        assert result.output == (
+            f"error: {path}: line 1, column 12: not UTF-8 text\n")
+
+    def test_byte_order_mark_is_ignored(self, runner, obs_path, tmp_path):
+        path = tmp_path / "bom.srm"
+        path.write_bytes(codecs.BOM_UTF8 + paps.obs_fixture_text().encode())
+        result = _invoke(runner, "validate", str(path))
+        assert result.exit_code == 0
+        assert result.output == _invoke(runner, "validate", obs_path).output
 
 
 class TestImpacts:
@@ -190,6 +208,14 @@ class TestPrioritize:
         assert result.output == (
             f"error: {rules}: line {line}, column 4: not UTF-8 text\n")
 
+    def test_byte_order_mark_in_rulebase_is_ignored(self, runner, obs_path,
+                                                    tmp_path):
+        rules = tmp_path / "bom.rules"
+        rules.write_bytes(codecs.BOM_UTF8 + paps.default_rules_text().encode())
+        result = _invoke(runner, "prioritize", obs_path, "--rules", str(rules))
+        assert result.exit_code == 0
+        assert result.output == _invoke(runner, "prioritize", obs_path).output
+
     def test_rulebase_with_other_inputs_exits_one(self, runner, obs_path,
                                                  tmp_path):
         rules = _rules_file(tmp_path, "tech", "skill")
@@ -302,6 +328,85 @@ class TestRelax:
     def test_csv_is_a_usage_error(self, runner, obs_path):
         result = _invoke(runner, "relax", obs_path, "--format", "csv")
         assert result.exit_code == 2
+
+
+def _run_module(*args, env=None, **kwargs):
+    """``python -m paps.cli ARGS`` in a fresh interpreter on this source."""
+    src = Path(paps.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-m", "paps.cli", *args],
+        env=dict(os.environ, PYTHONPATH=str(src), **(env or {})), **kwargs)
+
+
+# command -> the options its --help must name
+OPTIONS = {"validate": ["--help"],
+           "impacts": ["--goal", "--format", "--out", "--help"],
+           "prioritize": ["--goal", "--rules", "--format", "--out", "--help"],
+           "relax": ["--goal", "--rules", "--format", "--out", "--help"]}
+
+
+class TestCommandLineSurface:
+    @pytest.mark.parametrize("args", [
+        pytest.param([], id="no-command"),
+        pytest.param(["frobnicate", "MODEL"], id="unknown-command"),
+        pytest.param(["-h"], id="no-short-help"),
+        pytest.param(["impacts", "MODEL", "--go", "S"], id="no-abbreviation"),
+        pytest.param(["relax", "MODEL", "--format", "csv"], id="relax-csv"),
+        pytest.param(["validate", "MISSING"], id="missing-model"),
+        pytest.param(["impacts", "DIR"], id="model-is-a-directory"),
+        pytest.param(["prioritize", "MODEL", "--rules", "MISSING"],
+                     id="missing-rules"),
+        pytest.param(["impacts", "MODEL", "--out", "DIR"],
+                     id="out-is-a-directory"),
+    ])
+    def test_usage_and_io_failures_exit_two(self, runner, obs_path, tmp_path,
+                                            args):
+        where = {"MODEL": obs_path, "MISSING": str(tmp_path / "missing"),
+                 "DIR": str(tmp_path)}
+        result = _invoke(runner, *[where.get(arg, arg) for arg in args])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr != ""
+
+    def test_help_names_every_command(self, runner):
+        result = _invoke(runner, "--help")
+        assert result.exit_code == 0
+        assert all(command in result.stdout for command in OPTIONS)
+
+    @pytest.mark.parametrize("command", OPTIONS)
+    def test_command_help_names_its_options(self, runner, command):
+        result = _invoke(runner, command, "--help")
+        assert result.exit_code == 0
+        assert all(option in result.stdout for option in OPTIONS[command])
+
+    def test_closed_stdout_exits_one_without_a_traceback(self, obs_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before paps writes
+        try:
+            result = _run_module("impacts", obs_path, "--format", "csv",
+                                 stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert result.stderr == b""
+
+    def test_ascii_stdout_writes_utf8(self, obs_path):
+        utf8 = _run_module("relax", obs_path, capture_output=True)
+        forced = _run_module("relax", obs_path, capture_output=True,
+                             env={"PYTHONIOENCODING": "ascii"})
+        assert forced.returncode == 0, forced.stderr
+        assert "\u00d7".encode() in forced.stdout
+        assert forced.stdout == utf8.stdout
+
+    def test_interrupt_exits_one_with_aborted(self, runner, obs_path,
+                                              monkeypatch):
+        def interrupted(text):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(paps.cli, "parse_model", interrupted)
+        result = _invoke(runner, "validate", obs_path)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "\nAborted!\n"
 
 
 class TestVersion:

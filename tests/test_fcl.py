@@ -97,7 +97,10 @@ class TestParseRulebase:
          "TERM low", "term impact.low lies outside the universe"),
         ("RANGE := (0.0 .. 1.0);", "RANGE := (1.0 .. 0.0);",
          "RANGE", "empty universe for impact"),
-    ], ids=["term-above-range", "term-below-range", "empty-range"])
+        ("RANGE := (0.0 .. 1.0);", "RANGE := (0.0 .. 1" + "0" * 400 + ");",
+         "RANGE", "number too large"),
+    ], ids=["term-above-range", "term-below-range", "empty-range",
+            "infinite-range"])
     def test_universe_errors_at_the_offending_line(self, old, new, where,
                                                    message):
         text = paps.default_rules_text().replace(old, new, 1)

@@ -13,10 +13,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import paps
-from paps.cli import main
+from cli_runner import invoke
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 DIGESTS = json.loads((BENCH / "obs_digests.json").read_text())
@@ -41,13 +40,6 @@ def model_path(tmp_path_factory):
     return str(path)
 
 
-def _runner() -> CliRunner:
-    try:
-        return CliRunner(mix_stderr=False)  # click < 8.2 mixes by default
-    except TypeError:
-        return CliRunner()                  # click >= 8.2 keeps them apart
-
-
 def test_every_command_line_is_covered():
     cycles = [f"validate CYCLE{k}" for k in range(len(gen.obs_goal_edges()))]
     assert len(KEYS) == 103
@@ -63,7 +55,7 @@ def test_output_matches_recorded_digest(key, model_path, tmp_path):
         args = ["validate", str(cyclic)]
     else:
         args = [model_path if arg == "MODEL" else arg for arg in key.split()]
-    result = _runner().invoke(main, args)
+    result = invoke(args)
     digest = hashlib.sha256(f"{result.exit_code}\0{result.stdout}\0"
                             f"{result.stderr}".encode()).hexdigest()
     assert digest == DIGESTS[key]

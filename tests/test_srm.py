@@ -171,6 +171,13 @@ class TestParse:
             GOAL + '  req R1 "x" cost=0.1 tech=1.0 ov=-3\n', 2, 3,
             "ov must be positive", id="negative-ov"),
         pytest.param(
+            "option cost_scale = " + "9" * 400 + "\n" + GOAL
+            + '  req R1 "x" cost=12345 tech=1.0\n', 1, 1,
+            "number too large", id="infinite-cost-scale"),
+        pytest.param(
+            GOAL + '  req R1 "x" cost=0.1 tech=1.0 ov=' + "1" * 400 + "\n",
+            2, 3, "number too large", id="infinite-ov"),
+        pytest.param(
             GOAL + REQ + "  rule P1: S -> R1 @ 1.2\n", 3, 3,
             "degree 1.2 outside [0, 1]", id="degree-above-one"),
         pytest.param(
