@@ -1,6 +1,6 @@
 """Goal-based prioritization and partial selection of security requirements."""
 
-from importlib import resources
+import os
 
 from .fcl import FclError, parse_rulebase
 from .fuzzy import (FuzzyRule, LinguisticVariable, NoActivationError,
@@ -20,16 +20,23 @@ from .srm import SrmError, parse_model, serialize_model
 __version__ = "0.1.0"  # pyproject.toml reads it from here
 
 
+def _data_text(name: str) -> str:
+    """A file of the bundled ``data`` directory, read through the package's
+    own loader (as ``pkgutil.get_data`` does), so it also works from a zip.
+    ``importlib.resources`` would do the same but costs tens of ms to
+    import."""
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    return __loader__.get_data(path).decode("utf-8")
+
+
 def default_rules_text() -> str:
     """The bundled default rule-base file."""
-    return resources.files("paps.data").joinpath("default.rules").read_text(
-        encoding="utf-8")
+    return _data_text("default.rules")
 
 
 def obs_fixture_text() -> str:
     """The bundled online-banking-system model file."""
-    return resources.files("paps.data").joinpath("obs.srm").read_text(
-        encoding="utf-8")
+    return _data_text("obs.srm")
 
 
 def load_default_rulebase() -> tuple[VariableConfig, RuleBase]:

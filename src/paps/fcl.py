@@ -47,10 +47,13 @@ _RANGE_RE = re.compile(rf"RANGE\s*:=\s*\(\s*({_NUM})\s*\.\.\s*({_NUM})\s*\)\s*;\
 _TERM_RE = re.compile(
     rf"TERM\s+({_ID})\s*:=\s*\(\s*({_NUM})\s*,\s*({_NUM})\s*,\s*({_NUM})\s*,"
     rf"\s*({_NUM})\s*\)\s*;\s*$")
+# Only the keywords ignore case: under a whole-pattern IGNORECASE the ASCII
+# class of _ID would also match non-ASCII letters that case-fold into it
+# (the long s, the dotless i, the Kelvin sign).
 _RULE_RE = re.compile(
-    rf"RULE\s+({_ID}|\d+)\s*:\s*IF\s+(.+?)\s+THEN\s+({_ID})\s+IS\s+({_ID})\s*;\s*$",
-    re.IGNORECASE)
-_ATOM_RE = re.compile(rf"^({_ID})\s+IS\s+({_ID})$", re.IGNORECASE)
+    rf"(?i:RULE)\s+({_ID}|[0-9]+)\s*:\s*(?i:IF)\s+(.+?)\s+(?i:THEN)\s+"
+    rf"({_ID})\s+(?i:IS)\s+({_ID})\s*;\s*$")
+_ATOM_RE = re.compile(rf"^({_ID})\s+(?i:IS)\s+({_ID})$")
 
 
 INPUT_NAMES = ("impact", "cost", "tech")

@@ -8,9 +8,11 @@ rather than by sampling; results are exact and platform independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from typing import Mapping
+
+from .model import Frozen
 
 
 class NoActivationError(Exception):
@@ -21,24 +23,20 @@ class UniverseError(ValueError):
     """A crisp input lies outside its variable's universe."""
 
 
-@dataclass(frozen=True)
-class TrapezoidMF:
+class TrapezoidMF(namedtuple("TrapezoidMF", "x0 x1 x2 x3")):
     """Trapezoid with support [x0, x3] and core [x1, x2].
 
     x0 == x1 (or x2 == x3) makes a left (right) shoulder: membership is 1
     at and beyond the core on that side.
     """
 
-    x0: float
-    x1: float
-    x2: float
-    x3: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.x0 <= self.x1 <= self.x2 <= self.x3:
+    def __new__(cls, x0: float, x1: float, x2: float, x3: float):
+        if not x0 <= x1 <= x2 <= x3:
             raise ValueError(
-                f"breakpoints must be ordered, got "
-                f"({self.x0}, {self.x1}, {self.x2}, {self.x3})")
+                f"breakpoints must be ordered, got ({x0}, {x1}, {x2}, {x3})")
+        return super().__new__(cls, x0, x1, x2, x3)
 
 
 def mf_eval(mf: TrapezoidMF, x: float) -> float:
@@ -47,7 +45,7 @@ def mf_eval(mf: TrapezoidMF, x: float) -> float:
     The comparisons below are the ones the builtin ``min``/``max`` make,
     in the same order, so the result is theirs without the call overhead.
     """
-    x0, x1, x2, x3 = mf.x0, mf.x1, mf.x2, mf.x3
+    x0, x1, x2, x3 = mf
     if x1 > x0:
         degree = (x - x0) / (x1 - x0)
     else:
@@ -63,23 +61,22 @@ def mf_eval(mf: TrapezoidMF, x: float) -> float:
     return degree if degree > 0.0 else 0.0
 
 
-@dataclass(frozen=True)
-class LinguisticVariable:
-    name: str
-    universe: tuple[float, float]
-    terms: tuple[tuple[str, TrapezoidMF], ...]
+class LinguisticVariable(Frozen, namedtuple(
+        "LinguisticVariable", "name universe terms")):
 
-    def __post_init__(self) -> None:
-        lo, hi = self.universe
+    def __new__(cls, name: str, universe: tuple[float, float],
+                terms: tuple[tuple[str, TrapezoidMF], ...]):
+        lo, hi = universe
         if not lo < hi:
-            raise ValueError(f"empty universe for {self.name}")
-        names = [t for t, _ in self.terms]
+            raise ValueError(f"empty universe for {name}")
+        names = [t for t, _ in terms]
         if len(names) != len(set(names)):
-            raise ValueError(f"duplicate term names in {self.name}")
-        for term, mf in self.terms:
+            raise ValueError(f"duplicate term names in {name}")
+        for term, mf in terms:
             if mf.x0 < lo or mf.x3 > hi:
                 raise ValueError(
-                    f"term {self.name}.{term} lies outside the universe")
+                    f"term {name}.{term} lies outside the universe")
+        return super().__new__(cls, name, universe, terms)
 
     def term_names(self) -> list[str]:
         return [t for t, _ in self.terms]
@@ -100,8 +97,8 @@ class LinguisticVariable:
         return cog
 
     # Lookup tables, built on first use and kept in the instance __dict__
-    # (cached_property writes there directly, so it works on a frozen
-    # dataclass and never enters __eq__ or __hash__).
+    # (cached_property writes there directly, past ``Frozen``, and the
+    # __dict__ never enters __eq__ or __hash__).
 
     @cached_property
     def _atoms(self) -> tuple[tuple[tuple[str, str], TrapezoidMF], ...]:
@@ -126,8 +123,7 @@ class LinguisticVariable:
                      for term, mf in sorted(self.terms, key=lambda t: t[0]))
 
 
-@dataclass(frozen=True)
-class VariableConfig:
+class VariableConfig(Frozen, namedtuple("VariableConfig", "inputs output")):
     inputs: tuple[LinguisticVariable, ...]
     output: LinguisticVariable
 
@@ -145,15 +141,14 @@ class VariableConfig:
         return {v.name: v for v in reversed(self.inputs)}  # first one wins
 
 
-@dataclass(frozen=True)
-class FuzzyRule:
+class FuzzyRule(namedtuple("FuzzyRule", "id antecedent consequent")):
+    __slots__ = ()
     id: str
     antecedent: tuple[tuple[str, str], ...]  # (input variable, term)
     consequent: tuple[str, str]              # (output variable, term)
 
 
-@dataclass(frozen=True)
-class RuleBase:
+class RuleBase(Frozen, namedtuple("RuleBase", "rules")):
     rules: tuple[FuzzyRule, ...]
 
     # Dispatch tables for infer, built on first use like LinguisticVariable's.
@@ -220,9 +215,9 @@ def infer(rulebase: RuleBase,
 def _segments(mf: TrapezoidMF,
               act: float) -> list[tuple[float, float, float, float]]:
     """Linear pieces (xa, xb, slope, intercept) of min(act, mf) where positive."""
-    x0, x3 = mf.x0, mf.x3
-    xe1 = x0 + act * (mf.x1 - x0)
-    xe2 = x3 - act * (x3 - mf.x2)
+    x0, x1, x2, x3 = mf
+    xe1 = x0 + act * (x1 - x0)
+    xe2 = x3 - act * (x3 - x2)
     pieces = []
     if xe1 > x0:
         slope = act / (xe1 - x0)

@@ -10,17 +10,15 @@ alongside as an independent test oracle.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import render
-from .model import SecurityModel, adjacency
+from .model import Frozen, SecurityModel, adjacency
 
 _NO_CELLS: Mapping[str, float] = {}
 
@@ -29,22 +27,20 @@ class OracleSizeError(Exception):
     """The exponential oracle refused a graph that is too large."""
 
 
-@dataclass(frozen=True)
-class ImpactMatrix:
+class ImpactMatrix(Frozen, namedtuple("ImpactMatrix",
+                                      "goals requirements rows")):
     """Goal x requirement impacts; ``rows`` maps a goal to its non-zero
     cells."""
 
-    goals: tuple[str, ...]
-    requirements: tuple[str, ...]
-    rows: Mapping[str, Mapping[str, float]]
-
-    def __post_init__(self) -> None:
+    def __new__(cls, goals: tuple[str, ...], requirements: tuple[str, ...],
+                rows: Mapping[str, Mapping[str, float]]):
         # ``rows`` replaced a flat ``{(goal, requirement): value}`` field;
         # such a dict would otherwise read as all zeros.
-        if any(isinstance(g, tuple) for g in self.rows):
+        if any(isinstance(g, tuple) for g in rows):
             raise TypeError("ImpactMatrix.rows maps a goal to its "
                             "{requirement: value} cells, not "
                             "(goal, requirement) pairs to values")
+        return super().__new__(cls, goals, requirements, rows)
 
     @cached_property
     def entries(self) -> dict[tuple[str, str], float]:
@@ -124,6 +120,8 @@ class ImpactMatrix:
         matrix ``json.dumps`` of the whole dict takes 0.6-1.0 s, this
         sparse writer 45-75 ms (CPython 3.11, 2-vCPU x86-64 host).
         """
+        import json  # here, not at module level: only json output needs it
+
         goals = dict.fromkeys(self.goals if goals is None else goals)
         columns = tuple(dict.fromkeys(self.requirements))
         text = _formatter(json.dumps)

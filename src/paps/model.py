@@ -9,7 +9,7 @@ a contribution degree in [0, 1]. Requirements additionally carry risk data
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from typing import Mapping
 
@@ -26,37 +26,59 @@ def natural_key(node_id: str) -> tuple:
     ])
 
 
-@dataclass(frozen=True)
-class Goal:
+# The records are named tuples: immutable, compared and hashed by value,
+# and far cheaper to define at import than dataclasses.
+
+
+class Frozen:
+    """Mixin for a named-tuple record with a __dict__: assigning or deleting
+    an attribute raises AttributeError. ``cached_property`` writes to the
+    __dict__ directly, so cached tables still work."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(
+            f"cannot assign to {type(self).__name__}.{name}: immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(
+            f"cannot delete {type(self).__name__}.{name}: immutable")
+
+
+class Goal(namedtuple("Goal", "id description", defaults=("",))):
+    __slots__ = ()
     id: str
-    description: str = ""
+    description: str
 
 
-@dataclass(frozen=True)
-class Requirement:
+class Requirement(namedtuple("Requirement",
+                             "id description metric connector ov",
+                             defaults=("", None, None, None))):
+    __slots__ = ()
     id: str
-    description: str = ""
-    metric: str | None = None
-    connector: str | None = None
-    ov: float | None = None
+    description: str
+    metric: str | None
+    connector: str | None
+    ov: float | None
 
 
-@dataclass(frozen=True)
-class DerivationRule:
+class DerivationRule(namedtuple("DerivationRule", "id head body degree")):
     """``head -> body[0] ... body[n] @ degree``.
 
     The rule contributes ``degree`` to the edge (head, b) for every body
     element b; duplicate edges across rules collapse to the maximum degree.
     """
 
+    __slots__ = ()
     id: str
     head: str
     body: tuple[str, ...]
     degree: float
 
 
-@dataclass(frozen=True)
-class SecurityModel:
+class SecurityModel(Frozen, namedtuple(
+        "SecurityModel", "goals requirements rules root")):
     goals: tuple[Goal, ...]
     requirements: tuple[Requirement, ...]
     rules: tuple[DerivationRule, ...]
@@ -91,8 +113,8 @@ class SecurityModel:
         return list(self._sorted_requirements)
 
     # Derived data, built on first use and kept in the instance __dict__
-    # (cached_property writes there directly, so it works on a frozen
-    # dataclass and never enters __eq__ or __hash__).
+    # (cached_property writes there directly, past ``Frozen``, and the
+    # __dict__ never enters __eq__ or __hash__).
 
     @cached_property
     def _goals_by_id(self) -> dict[str, Goal]:
@@ -112,10 +134,10 @@ class SecurityModel:
         return ModelGraph(self)
 
 
-@dataclass(frozen=True)
-class RiskProfile:
+class RiskProfile(namedtuple("RiskProfile", "cost technical_ability")):
     """Per-requirement cost and technical-ability, both in [0, 1]."""
 
+    __slots__ = ()
     cost: Mapping[str, float]
     technical_ability: Mapping[str, float]
 
@@ -240,8 +262,8 @@ CATEGORY_UNREACHABLE = "unreachable-node"
 CATEGORY_DUPLICATE = "duplicate-id"
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(namedtuple("Finding", "category severity subject message")):
+    __slots__ = ()
     category: str
     severity: str  # "error" | "warning"
     subject: str   # node or rule id
@@ -251,9 +273,10 @@ class Finding:
         return f"{self.severity} [{self.category}] {self.subject}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple[Finding, ...] = field(default_factory=tuple)
+class ValidationReport(namedtuple("ValidationReport", "findings",
+                                  defaults=((),))):
+    __slots__ = ()
+    findings: tuple[Finding, ...]
 
     @property
     def errors(self) -> list[Finding]:

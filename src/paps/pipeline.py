@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator
 
 from . import render
@@ -13,8 +13,11 @@ from .impact import build_srl
 from .model import RiskProfile, SecurityModel, natural_key
 
 
-@dataclass(frozen=True)
-class PrioritizedEntry:
+class PrioritizedEntry(namedtuple(
+        "PrioritizedEntry",
+        "goal requirement impact cost tech rds term label no_activation",
+        defaults=(False,))):
+    __slots__ = ()
     goal: str
     requirement: str
     impact: float
@@ -23,7 +26,7 @@ class PrioritizedEntry:
     rds: float
     term: str           # full output term name, e.g. "strong"
     label: str          # single-letter form, e.g. "S"
-    no_activation: bool = False
+    no_activation: bool
 
 
 def prioritize(model: SecurityModel, risk: RiskProfile, goal: str,

@@ -8,7 +8,7 @@ symbolic (OV_6) unless the model supplies a numeric ov attribute.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import render
 from .fuzzy import RuleBase, VariableConfig
@@ -27,8 +27,10 @@ class RenderError(Exception):
         self.requirement = requirement
 
 
-@dataclass(frozen=True)
-class RelaxedStatement:
+class RelaxedStatement(namedtuple(
+        "RelaxedStatement",
+        "requirement metric connector rds ov_symbol rendered")):
+    __slots__ = ()
     requirement: str
     metric: str
     connector: str
@@ -74,19 +76,19 @@ def relax_json(statements: list[RelaxedStatement]) -> str:
         for s in statements])
 
 
-@dataclass(frozen=True)
-class DeviationMembership:
+class DeviationMembership(namedtuple("DeviationMembership", "half_width")):
     """Symmetric triangular tolerance around the relaxed target.
 
     Membership is 1 at zero deviation and falls linearly to 0 at
     half_width (in units of the satisfaction metric).
     """
 
-    half_width: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.half_width <= 0:
+    def __new__(cls, half_width: float):
+        if half_width <= 0:
             raise ValueError("half_width must be positive")
+        return super().__new__(cls, half_width)
 
 
 def default_deviation(rds: float, ov: float) -> DeviationMembership:

@@ -7,7 +7,6 @@ is the caller's choice. Ids and term names are ASCII by the ``.srm`` and
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Sequence
 
 
@@ -38,4 +37,5 @@ def csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
 
 
 def json_rows(rows: list) -> str:
+    import json  # here, not at module level: only json output needs it
     return json.dumps(rows, indent=2, ensure_ascii=False) + "\n"

@@ -398,6 +398,20 @@ class TestCommandLineSurface:
         assert "\u00d7".encode() in forced.stdout
         assert forced.stdout == utf8.stdout
 
+    def test_import_leaves_slow_modules_unloaded(self):
+        # Each paps command is a fresh process, so import time is most of
+        # what a run costs; on a clean interpreter (-S: no site hooks that
+        # preload them) no command needs these at import.
+        slow = ["dataclasses", "inspect", "importlib.resources", "json"]
+        src = Path(paps.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", "import sys, paps.cli; print(["
+             f"m for m in {slow!r} if m in sys.modules])"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
     def test_interrupt_exits_one_with_aborted(self, runner, obs_path,
                                               monkeypatch):
         def interrupted(text):

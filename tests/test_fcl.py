@@ -148,3 +148,34 @@ class TestParseRulebase:
             "    TERM high := (0.5, 0.75, 1, 1);",
             "    TERM high := (1, 1, 1, 1);", 1))
         assert config.input("impact").term("high").x0 == 1.0
+
+    def test_rule_keywords_ignore_case(self):
+        lower = SMALL.replace(
+            "RULE 1: IF impact IS high AND cost IS low AND tech IS high "
+            "THEN priority IS strong;",
+            "rule 1: if impact is high and cost Is low AnD tech iS high "
+            "then priority is strong;")
+        assert parse_rulebase(lower) == parse_rulebase(SMALL)
+
+    # Identifiers are ASCII: a letter that only case-folds into [A-Za-z]
+    # (the long s, the Kelvin sign, the dotless i) or a non-ASCII digit
+    # does not make one.
+    @pytest.mark.parametrize("old,new,message", [
+        ("RULE 1:", "RULE ſ:", "expected RULE or END_RULEBLOCK"),
+        ("RULE 1:", "RULE K1:", "expected RULE or END_RULEBLOCK"),
+        ("RULE 1:", "RULE ١:", "expected RULE or END_RULEBLOCK"),
+        ("IF impact IS", "IF ımpact IS",
+         "malformed condition 'ımpact IS high'"),
+        ("THEN priority", "THEN prİority",
+         "expected RULE or END_RULEBLOCK"),
+    ], ids=["long-s-rule-id", "kelvin-rule-id", "arabic-indic-rule-id",
+            "dotless-i-input", "dotted-capital-i-output"])
+    def test_non_ascii_identifier_on_a_rule_line_rejected(self, old, new,
+                                                          message):
+        bad = SMALL.replace(old, new, 1)
+        line = next(n for n, raw in enumerate(bad.splitlines(), start=1)
+                    if raw.startswith("    RULE "))
+        with pytest.raises(FclError) as exc:
+            parse_rulebase(bad)
+        assert (exc.value.line, exc.value.column) == (line, 5)
+        assert exc.value.message == message
