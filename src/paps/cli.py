@@ -9,19 +9,20 @@ import argparse
 import codecs
 import os
 import sys
-from typing import Callable, NoReturn
+from collections.abc import Callable
 
 from . import __version__, default_rules_text
-from .fcl import FclError, parse_rulebase
+from .fcl import parse_rulebase
 from .fuzzy import UniverseError
 from .impact import impact_matrix
 from .model import validate_model
 from .pipeline import prioritize, report_csv, report_json, report_table
 from .relax import RenderError, relax_json, relax_srl, relax_text
-from .srm import SrmError, parse_model
+from .source import ParseError
+from .srm import parse_model
 
 
-def _fail(message: str, code: int = 1) -> NoReturn:
+def _fail(message: str, code: int = 1):
     print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
@@ -35,27 +36,16 @@ def _read_text(path: str) -> str:
         # Lines split as the parsers split them, columns count characters;
         # "x" stands for the bad byte, so a line break just before it counts.
         lines = (data[:exc.start].decode("utf-8") + "x").splitlines()
-        _fail(f"{path}: line {len(lines)}, column {len(lines[-1])}: "
-              "not UTF-8 text")
+        raise ParseError(len(lines), len(lines[-1]), "not UTF-8 text")
 
 
-def _load_model(path: str):
+def _load(parse: Callable, path: str | None):
+    """``parse`` of the file at ``path`` (None: the bundled rules); a file
+    that does not parse ends the command with exit code 1."""
     try:
-        return parse_model(_read_text(path))
-    except SrmError as exc:
-        _fail(f"{path}: {exc}")
-
-
-def _rules_source(path: str | None) -> str:
-    return path or "<default rules>"
-
-
-def _load_rules(path: str | None):
-    text = default_rules_text() if path is None else _read_text(path)
-    try:
-        return parse_rulebase(text)
-    except FclError as exc:
-        _fail(f"{_rules_source(path)}: {exc}")
+        return parse(default_rules_text() if path is None else _read_text(path))
+    except ParseError as exc:
+        _fail(f"{path or '<default rules>'}: {exc}")
 
 
 def _check_valid(model, risk) -> None:
@@ -76,7 +66,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _validate(model_path: str) -> None:
     """Check a model file against all structural invariants."""
-    model, risk = _load_model(model_path)
+    model, risk = _load(parse_model, model_path)
     report = validate_model(model, risk)
     for finding in report.findings:
         print(finding)
@@ -90,7 +80,7 @@ def _validate(model_path: str) -> None:
 def _impacts(model_path: str, goal: str | None, fmt: str,
              out: str | None) -> None:
     """Print the goal x requirement impact matrix."""
-    model, risk = _load_model(model_path)
+    model, risk = _load(parse_model, model_path)
     _check_valid(model, risk)
     matrix = impact_matrix(model)
     if goal is not None and goal not in matrix.goals:
@@ -105,9 +95,9 @@ def _for_goal(model_path: str, goal: str | None, rules: str | None,
     """``run(model, risk, goal, config, rulebase)`` on a valid model, goal
     (default: the root) and rule base; any failure is reported on stderr
     and ends the command with exit code 1."""
-    model, risk = _load_model(model_path)
+    model, risk = _load(parse_model, model_path)
     _check_valid(model, risk)
-    config, rulebase = _load_rules(rules)
+    config, rulebase = _load(parse_rulebase, rules)
     target = goal or model.root
     if target not in model.goal_ids():
         _fail(f"unknown goal {target!r}")
@@ -116,7 +106,7 @@ def _for_goal(model_path: str, goal: str | None, rules: str | None,
     except RenderError as exc:
         _fail(str(exc))
     except UniverseError as exc:
-        _fail(f"{_rules_source(rules)}: {exc}")
+        _fail(f"{rules or '<default rules>'}: {exc}")
 
 
 def _prioritize(model_path: str, goal: str | None, rules: str | None,
@@ -180,8 +170,7 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     return parser
 
 
-def main(args: list[str] | None = None, prog_name: str | None = None
-         ) -> NoReturn:
+def main(args: list[str] | None = None, prog_name: str | None = None):
     """Run one ``paps`` command line (default: ``sys.argv[1:]``); every run
     ends in ``SystemExit`` with the exit code."""
     for stream in sys.stdout, sys.stderr:

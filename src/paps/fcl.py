@@ -21,32 +21,26 @@ exactly impact, cost and tech, and the output's RANGE must lie inside
 
 from __future__ import annotations
 
-import math
 import re
-from typing import Iterator, Mapping
+from collections.abc import Iterator, Mapping
 
 from .fuzzy import (FuzzyRule, LinguisticVariable, NoActivationError,
                     RuleBase, TrapezoidMF, VariableConfig)
+from .source import NUMBER, ParseError, nonblank_lines
 
 
-class FclError(Exception):
+class FclError(ParseError):
     """Rule-base syntax or semantic error with a 1-based source position."""
 
-    def __init__(self, line: int, column: int, message: str):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
-        self.message = message
 
-
-_NUM = r"[-+]?(?:\d+\.?\d*|\.\d+)"
 _ID = r"[A-Za-z_][A-Za-z0-9_-]*"
 
 _VAR_RE = re.compile(rf"(VAR_INPUT|VAR_OUTPUT)\s+({_ID})\s*$")
-_RANGE_RE = re.compile(rf"RANGE\s*:=\s*\(\s*({_NUM})\s*\.\.\s*({_NUM})\s*\)\s*;\s*$")
+_RANGE_RE = re.compile(
+    rf"RANGE\s*:=\s*\(\s*({NUMBER})\s*\.\.\s*({NUMBER})\s*\)\s*;\s*$")
 _TERM_RE = re.compile(
-    rf"TERM\s+({_ID})\s*:=\s*\(\s*({_NUM})\s*,\s*({_NUM})\s*,\s*({_NUM})\s*,"
-    rf"\s*({_NUM})\s*\)\s*;\s*$")
+    rf"TERM\s+({_ID})\s*:=\s*\(\s*({NUMBER})\s*,\s*({NUMBER})\s*,"
+    rf"\s*({NUMBER})\s*,\s*({NUMBER})\s*\)\s*;\s*$")
 # Only the keywords ignore case: under a whole-pattern IGNORECASE the ASCII
 # class of _ID would also match non-ASCII letters that case-fold into it
 # (the long s, the dotless i, the Kelvin sign).
@@ -77,13 +71,6 @@ def check_inputs(config: VariableConfig,
                        f"RANGE ({lo} .. {hi}), not inside [0, 1]")
 
 
-def _numbers(texts: tuple[str, ...], line: int, col: int) -> tuple[float, ...]:
-    values = tuple(map(float, texts))
-    if any(map(math.isinf, values)):  # a digit string too long for a float
-        raise FclError(line, col, "number too large")
-    return values
-
-
 def _read_var(kind: str, name: str, lines: Iterator[tuple[int, int, str]],
               eof: int, inputs: Mapping[str, LinguisticVariable],
               output: LinguisticVariable | None
@@ -99,7 +86,8 @@ def _read_var(kind: str, name: str, lines: Iterator[tuple[int, int, str]],
         if m:
             if var_range is not None:
                 raise FclError(lineno, col, "RANGE declared twice")
-            var_range = _numbers(m.groups(), lineno, col)
+            var_range = tuple(FclError.number(x, lineno, col)
+                              for x in m.groups())
             range_at = (lineno, col)
             continue
         m = _TERM_RE.match(line)
@@ -109,7 +97,8 @@ def _read_var(kind: str, name: str, lines: Iterator[tuple[int, int, str]],
         if term in term_at:
             raise FclError(lineno, col, f"duplicate term {name}.{term}")
         try:
-            mf = TrapezoidMF(*_numbers(m.groups()[1:], lineno, col))
+            mf = TrapezoidMF(*(FclError.number(x, lineno, col)
+                               for x in m.groups()[1:]))
         except ValueError as exc:
             raise FclError(lineno, col, str(exc)) from exc
         terms.append((term, mf))
@@ -176,14 +165,11 @@ def _read_rule(lineno: int, col: int, line: str,
 
 
 def parse_rulebase(text: str) -> tuple[VariableConfig, RuleBase]:
-    raw_lines = text.splitlines()
-    eof = len(raw_lines) + 1
+    eof = len(text.splitlines()) + 1
     # (line, column, text) of each line that is more than a comment; the
     # block readers take their lines from this same iterator
-    stripped = ((lineno, raw, raw.split("//", 1)[0].split("#", 1)[0].strip())
-                for lineno, raw in enumerate(raw_lines, start=1))
-    lines = ((lineno, len(raw) - len(raw.lstrip()) + 1, line)
-             for lineno, raw, line in stripped if line)
+    lines = ((lineno, col, code) for lineno, col, line in nonblank_lines(text)
+             if (code := line.split("//", 1)[0].split("#", 1)[0].rstrip()))
     inputs: dict[str, LinguisticVariable] = {}
     output: LinguisticVariable | None = None
     at: dict[str, tuple[int, int]] = {}  # for check_inputs

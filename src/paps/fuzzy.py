@@ -9,8 +9,8 @@ rather than by sampling; results are exact and platform independent.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Mapping
 from functools import cached_property
-from typing import Mapping
 
 from .model import Frozen
 

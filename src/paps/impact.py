@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
 
 from . import render
 from .model import Frozen, SecurityModel, adjacency

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from collections.abc import Mapping
 from functools import cached_property
-from typing import Mapping
 
 
 _DIGIT_RUN = re.compile(r"(\d+)")
@@ -311,6 +311,7 @@ def validate_model(model: SecurityModel, risk: RiskProfile) -> ValidationReport:
         findings.append(Finding(CATEGORY_REQ_AS_HEAD, "error", model.root,
                                 "root node must be a goal"))
 
+    start = len(findings)
     seen_rule_ids: set[str] = set()
     for rule in model.rules:
         if rule.id in seen_rule_ids:
@@ -340,6 +341,8 @@ def validate_model(model: SecurityModel, risk: RiskProfile) -> ValidationReport:
             elif not 0.0 <= table[req.id] <= 1.0:
                 findings.append(Finding(CATEGORY_RANGE, "error", req.id,
                                         f"{name} {table[req.id]} outside [0, 1]"))
+    # id order, not declaration order; sorting findings, not rules, is cheap
+    findings[start:] = sorted(findings[start:], key=lambda f: natural_key(f.subject))
 
     cycle = model.graph.cycle
     if cycle is not None:

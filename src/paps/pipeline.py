@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterator
+from collections.abc import Iterator
 
 from . import render
 from .fcl import check_inputs

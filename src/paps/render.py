@@ -7,7 +7,7 @@ is the caller's choice. Ids and term names are ASCII by the ``.srm`` and
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 
 def table(header: Sequence[str], rows: Iterable[Sequence[str]],

@@ -14,40 +14,33 @@ can state costs on a [0, 100] scale while the toolkit works on [0, 1].
 
 from __future__ import annotations
 
-import math
 import re
 
 from .model import (DerivationRule, Goal, Requirement, RiskProfile,
                     SecurityModel, natural_key)
+from .source import NUMBER, ParseError, nonblank_lines
 
 
-class SrmError(Exception):
-    """Parse failure with a 1-based line and column."""
-
-    def __init__(self, line: int, column: int, message: str):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
-        self.message = message
+class SrmError(ParseError):
+    """A .srm model that does not parse, at its line and column."""
 
 
-_NUM = r"[-+]?(?:\d+\.?\d*|\.\d+)"
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
 _STR = r'"((?:[^"\\]|\\.)*)"'
 
 # keyword -> (line pattern, expected form named in the malformed-line error)
 _LINES = {
-    "option": (re.compile(rf"option\s+({_ID})\s*=\s*({_NUM})\s*$"), ""),
+    "option": (re.compile(rf"option\s+({_ID})\s*=\s*({NUMBER})\s*$"), ""),
     "goal": (re.compile(rf"goal\s+({_ID})\s+{_STR}\s*$"),
              ', expected: goal <ID> "<description>"'),
     "req": (re.compile(
-        rf"req\s+({_ID})\s+{_STR}((?:\s+{_ID}={_NUM}|\s+{_ID}={_STR})*)\s*$"),
+        rf"req\s+({_ID})\s+{_STR}((?:\s+{_ID}={NUMBER}|\s+{_ID}={_STR})*)\s*$"),
         ', expected: req <ID> "<description>" cost=<num> tech=<num> ...'),
     "rule": (re.compile(rf"rule\s+({_ID})\s*:\s*({_ID})\s*->\s*"
-                        rf"({_ID}(?:\s+{_ID})*)\s*@\s*({_NUM})\s*$"),
+                        rf"({_ID}(?:\s+{_ID})*)\s*@\s*({NUMBER})\s*$"),
              ", expected: rule <ID>: <Goal> -> <ID> ... @ <num>"),
 }
-_ATTR_RE = re.compile(rf"({_ID})=(?:({_NUM})|{_STR})")
+_ATTR_RE = re.compile(rf"({_ID})=(?:({NUMBER})|{_STR})")
 # requirement attribute -> the kind of value it takes
 _ATTRS = {"cost": "numeric", "tech": "numeric", "ov": "numeric",
           "metric": "quoted", "connector": "quoted"}
@@ -59,13 +52,6 @@ def _unescape(text: str) -> str:
 
 def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _number(text: str, line: int, col: int) -> float:
-    value = float(text)
-    if math.isinf(value):  # a digit string too long for a float
-        raise SrmError(line, col, "number too large")
-    return value
 
 
 def _declare(seen: dict[str, tuple[int, int]], key: str, name: str,
@@ -87,13 +73,10 @@ def parse_model(text: str) -> tuple[SecurityModel, RiskProfile]:
     declared: dict[str, tuple[int, int]] = {}  # goal and requirement ids
     rule_at: dict[str, tuple[int, int]] = {}
     cost_scale, scale_line = 1.0, 0  # line 0: cost_scale not set
-    lines = text.splitlines()
 
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, col, line in nonblank_lines(text):
+        if line.startswith("#"):
             continue
-        col = len(raw) - len(raw.lstrip()) + 1
         keyword = line.split(None, 1)[0]
         if keyword not in _LINES:
             raise SrmError(lineno, col, f"unknown directive {keyword!r}")
@@ -107,7 +90,7 @@ def parse_model(text: str) -> tuple[SecurityModel, RiskProfile]:
             if declared or rules:
                 raise SrmError(lineno, col,
                                "options must precede declarations")
-            name, value = m.group(1), _number(m.group(2), lineno, col)
+            name, value = m.group(1), SrmError.number(m.group(2), lineno, col)
             if name != "cost_scale":
                 raise SrmError(lineno, col, f"unknown option {name!r}")
             if scale_line:
@@ -131,7 +114,7 @@ def parse_model(text: str) -> tuple[SecurityModel, RiskProfile]:
                 if (_ATTRS[name] == "numeric") != bool(number):
                     raise SrmError(lineno, col, f"attribute {name} needs a "
                                                 f"{_ATTRS[name]} value")
-                attrs[name] = (_number(number, lineno, col) if number
+                attrs[name] = (SrmError.number(number, lineno, col) if number
                                else _unescape(quoted))
             for required in ("cost", "tech"):
                 if required not in attrs:
@@ -152,14 +135,14 @@ def parse_model(text: str) -> tuple[SecurityModel, RiskProfile]:
         else:
             rule_id, head, body, degree_src = m.groups()
             _declare(rule_at, rule_id, f"rule {rule_id}", lineno, col)
-            degree = _number(degree_src, lineno, col)
+            degree = SrmError.number(degree_src, lineno, col)
             if not 0.0 <= degree <= 1.0:
                 raise SrmError(lineno, col, f"degree {degree_src} outside [0, 1]")
             rules.append(DerivationRule(rule_id, head, tuple(body.split()),
                                         degree))
 
     if not goals:
-        raise SrmError(len(lines) + 1, 1, "no goals declared")
+        raise SrmError(len(text.splitlines()) + 1, 1, "no goals declared")
     # references must resolve; report the first offender with its position
     for rule in rules:
         for node in (rule.head, *rule.body):

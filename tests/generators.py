@@ -1,12 +1,29 @@
-"""Random model generators shared by the property and acceptance tests."""
+"""Model generators shared by the property and acceptance tests: random
+models, and ``bench_gen``, the benchmark's own ``bench/gen.py``."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import string
+import sys
+from pathlib import Path
 
 from paps.model import (DerivationRule, Goal, Requirement, RiskProfile,
                         SecurityModel)
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load_bench_gen():
+    spec = importlib.util.spec_from_file_location("bench_gen", BENCH / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_gen = _load_bench_gen()
 
 
 def random_dag_model(rng: random.Random, max_nodes: int = 12) -> SecurityModel:

@@ -402,7 +402,8 @@ class TestCommandLineSurface:
         # Each paps command is a fresh process, so import time is most of
         # what a run costs; on a clean interpreter (-S: no site hooks that
         # preload them) no command needs these at import.
-        slow = ["dataclasses", "inspect", "importlib.resources", "json"]
+        slow = ["dataclasses", "inspect", "importlib.resources", "json",
+                "typing"]
         src = Path(paps.__file__).resolve().parent.parent
         result = subprocess.run(
             [sys.executable, "-S", "-c", "import sys, paps.cli; print(["

@@ -99,8 +99,10 @@ class TestParseRulebase:
          "RANGE", "empty universe for impact"),
         ("RANGE := (0.0 .. 1.0);", "RANGE := (0.0 .. 1" + "0" * 400 + ");",
          "RANGE", "number too large"),
+        ("RANGE := (0.0 .. 1.0);", "RANGE := (\u0660 .. \u0661);",
+         "RANGE", "expected RANGE, TERM, or END_VAR"),
     ], ids=["term-above-range", "term-below-range", "empty-range",
-            "infinite-range"])
+            "infinite-range", "non-ascii-digit-range"])
     def test_universe_errors_at_the_offending_line(self, old, new, where,
                                                    message):
         text = paps.default_rules_text().replace(old, new, 1)

@@ -7,30 +7,16 @@ its k-th goal-to-goal edge reversed, as ``bench/gen.py`` writes it.
 """
 
 import hashlib
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
 import paps
 from cli_runner import invoke
+from generators import BENCH, bench_gen as gen
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 DIGESTS = json.loads((BENCH / "obs_digests.json").read_text())
 KEYS = sorted(DIGESTS)
-
-
-def _gen():
-    spec = importlib.util.spec_from_file_location("bench_gen", BENCH / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclass looks the module up
-    spec.loader.exec_module(module)
-    return module
-
-
-gen = _gen()
 
 
 @pytest.fixture(scope="module")

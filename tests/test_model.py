@@ -94,6 +94,20 @@ class TestValidateModel:
         assert any(f.category == "range" and f.subject == "R1"
                    for f in report.errors)
 
+    def test_rule_and_requirement_findings_in_id_order(self):
+        model = SecurityModel(
+            goals=(Goal("S"),),
+            requirements=(Requirement("R10"), Requirement("R2")),
+            rules=(DerivationRule("P10", "S", ("R10",), 1.5),
+                   DerivationRule("P2", "S", ("R2",), 1.5)),
+            root="S")
+        report = validate_model(model, RiskProfile({}, {}))
+        assert [(f.subject, f.message) for f in report.findings] == [
+            ("P2", "degree 1.5 outside [0, 1]"),
+            ("P10", "degree 1.5 outside [0, 1]"),
+            ("R2", "no cost value"), ("R2", "no technical ability value"),
+            ("R10", "no cost value"), ("R10", "no technical ability value")]
+
     def test_unreachable_is_warning_only(self):
         model = _small_model([DerivationRule("P1", "S", ("R1",), 0.5)])
         report = validate_model(model, _risk())

@@ -203,6 +203,19 @@ class TestParse:
             GOAL + REQ + "    rule P1: S -> R1 @ 0.5\n  rule P2: S -> X @ 0.5\n",
             4, 3, "rule P2 references undeclared id 'X'",
             id="undeclared-after-a-valid-rule"),
+        # numbers are ASCII digits; float() alone would read Arabic-Indic ones
+        pytest.param(
+            GOAL + 'req R1 "x" cost=\u0660.\u0665 tech=1\n', 2, 1,
+            'malformed req line, expected: req <ID> "<description>" '
+            "cost=<num> tech=<num> ...",
+            id="non-ascii-digit-cost"),
+        pytest.param(
+            GOAL + REQ + "rule P1: S -> R1 @ \u0660.\u0667\n", 3, 1,
+            "malformed rule line, expected: rule <ID>: <Goal> -> <ID> ... @ <num>",
+            id="non-ascii-digit-degree"),
+        pytest.param(
+            "option cost_scale = \u0661\u0660\u0660\n" + GOAL, 1, 1,
+            "malformed option line", id="non-ascii-digit-option"),
         # the order of the checks on one line
         pytest.param(
             GOAL + '  req R1 "x" colour=1\n', 2, 3, "unknown attribute 'colour'",
