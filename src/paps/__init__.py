@@ -6,8 +6,7 @@ from .fcl import FclError, parse_rulebase
 from .fuzzy import (FuzzyRule, LinguisticVariable, NoActivationError,
                     RuleBase, TrapezoidMF, UniverseError, VariableConfig,
                     defuzzify_cog, fuzzify, infer, label, mf_eval)
-from .impact import (ImpactMatrix, OracleSizeError, brute_force_impact,
-                     build_srl, impact, impact_matrix)
+from .impact import ImpactMatrix, build_srl, impact, impact_matrix
 from .model import (DerivationRule, Finding, Goal, Requirement, RiskProfile,
                     SecurityModel, ValidationReport, technical_ability,
                     validate_model)

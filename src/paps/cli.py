@@ -18,7 +18,7 @@ from .impact import impact_matrix
 from .model import validate_model
 from .pipeline import prioritize, report_csv, report_json, report_table
 from .relax import RenderError, relax_json, relax_srl, relax_text
-from .source import ParseError
+from .source import ParseError, split_lines
 from .srm import parse_model
 
 
@@ -35,7 +35,7 @@ def _read_text(path: str) -> str:
     except UnicodeDecodeError as exc:
         # Lines split as the parsers split them, columns count characters;
         # "x" stands for the bad byte, so a line break just before it counts.
-        lines = (data[:exc.start].decode("utf-8") + "x").splitlines()
+        lines = split_lines(data[:exc.start].decode("utf-8") + "x")
         raise ParseError(len(lines), len(lines[-1]), "not UTF-8 text")
 
 

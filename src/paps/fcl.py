@@ -26,7 +26,7 @@ from collections.abc import Iterator, Mapping
 
 from .fuzzy import (FuzzyRule, LinguisticVariable, NoActivationError,
                     RuleBase, TrapezoidMF, VariableConfig)
-from .source import NUMBER, ParseError, nonblank_lines
+from .source import NUMBER, ParseError, nonblank_lines, split_lines
 
 
 class FclError(ParseError):
@@ -165,7 +165,7 @@ def _read_rule(lineno: int, col: int, line: str,
 
 
 def parse_rulebase(text: str) -> tuple[VariableConfig, RuleBase]:
-    eof = len(text.splitlines()) + 1
+    eof = len(split_lines(text)) + 1
     # (line, column, text) of each line that is more than a comment; the
     # block readers take their lines from this same iterator
     lines = ((lineno, col, code) for lineno, col, line in nonblank_lines(text)

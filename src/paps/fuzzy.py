@@ -88,13 +88,10 @@ class LinguisticVariable(Frozen, namedtuple(
         raise KeyError(f"unknown term {self.name}.{name}")
 
     def term_centroid(self, name: str) -> float:
-        """COG of the unclipped term, used for tie-breaking labels."""
-        cog = self._centroids.get(name)
-        if cog is None:
-            # An unknown name raises KeyError here, a single-point term
-            # NoActivationError.
-            return _piecewise_cog([(1.0, self.term(name))], self.universe)
-        return cog
+        """COG of the unclipped term, used for tie-breaking labels. An
+        unknown name raises KeyError, a term with no area
+        NoActivationError."""
+        return _piecewise_cog([(1.0, self.term(name))], self.universe)
 
     # Lookup tables, built on first use and kept in the instance __dict__
     # (cached_property writes there directly, past ``Frozen``, and the
@@ -104,17 +101,6 @@ class LinguisticVariable(Frozen, namedtuple(
     def _atoms(self) -> tuple[tuple[tuple[str, str], TrapezoidMF], ...]:
         """((variable, term), mf) for every term: the keys fuzzify writes."""
         return tuple(((self.name, term), mf) for term, mf in self.terms)
-
-    @cached_property
-    def _centroids(self) -> dict[str, float]:
-        """Term -> centroid, for every term with non-zero area."""
-        cogs = {}
-        for term, mf in self.terms:
-            try:
-                cogs[term] = _piecewise_cog([(1.0, mf)], self.universe)
-            except NoActivationError:
-                pass
-        return cogs
 
     @cached_property
     def _ranked_terms(self) -> tuple[tuple[str, TrapezoidMF, float], ...]:
@@ -236,13 +222,26 @@ def _piecewise_cog(active: list[tuple[float, TrapezoidMF]],
 
     The aggregate is piecewise linear; its breakpoints are the clipped-term
     kinks plus pairwise segment intersections, so each subinterval
-    integrates in closed form.
+    integrates in closed form. A clipped term that starts or ends at a
+    positive value (a vertical edge, as at x0 == x1 or x2 == x3) makes the
+    aggregate jump there, so at such a cut inside the universe each side
+    takes its own one-sided limit.
     """
     lo, hi = universe
     segments: list[tuple[float, float, float, float]] = []
     cuts = {lo, hi}
+    # the cuts inside the universe where a clipped term starts or ends above 0
+    edges = []
     for act, mf in active:
-        for xa2, xb2, s2, b2 in _segments(mf, act):
+        pieces = _segments(mf, act)
+        if pieces:
+            xa, _, s, _ = pieces[0]
+            if s <= 0.0 and lo < xa < hi:       # no rising piece
+                edges.append(xa)
+            _, xb, s, _ = pieces[-1]
+            if s >= 0.0 and lo < xb < hi:       # no falling piece
+                edges.append(xb)
+        for xa2, xb2, s2, b2 in pieces:
             if not (xa2 < hi and xb2 > lo):
                 continue
             # Terms lie inside the universe, but a piece's computed end can
@@ -275,9 +274,21 @@ def _piecewise_cog(active: list[tuple[float, TrapezoidMF]],
                 if y > value:
                     value = y
         fs.append(value)
+    # The value an interval takes at its left and right end: the closed
+    # value, except at an edge. At lo and hi the closed value already is
+    # the one-sided limit.
+    starts = ends = fs
+    if edges:
+        starts, ends = fs.copy(), fs.copy()
+        for i, x in enumerate(xs):
+            if x in edges:
+                ends[i] = max([0.0, *(s * x + b for xa, xb, s, b
+                                      in segments if xa < x <= xb)])
+                starts[i] = max([0.0, *(s * x + b for xa, xb, s, b
+                                        in segments if xa <= x < xb)])
     moment = 0.0
     mass = 0.0
-    for a, b, fa, fb in zip(xs, xs[1:], fs, fs[1:]):
+    for a, b, fa, fb in zip(xs, xs[1:], starts, ends[1:]):
         width = b - a
         mass += width * (fa + fb) / 2.0
         moment += width * (fa * (2.0 * a + b) + fb * (a + 2.0 * b)) / 6.0

@@ -4,52 +4,40 @@ The impact of a requirement x on a goal g is the maximum over all
 derivation paths g -> ... -> x of the minimum rule degree along the path.
 On a DAG this is the classic widest-path problem; ``ModelGraph.impact_rows``
 solves it for every node at once in one reverse-topological pass, and
-everything here reads those rows. A brute-force path enumerator is kept
-alongside as an independent test oracle.
+everything here reads those rows.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from functools import cached_property
+from functools import cache
 from itertools import chain
 from types import MappingProxyType
 
 from . import render
-from .model import Frozen, SecurityModel, adjacency
+# ``adjacency`` is imported for bench/tracing.py, which wraps it here.
+from .model import SecurityModel, adjacency  # noqa: F401
 
 _NO_CELLS: Mapping[str, float] = {}
 
 
-class OracleSizeError(Exception):
-    """The exponential oracle refused a graph that is too large."""
-
-
-class ImpactMatrix(Frozen, namedtuple("ImpactMatrix",
-                                      "goals requirements rows")):
+class ImpactMatrix(namedtuple("ImpactMatrix", "goals requirements rows")):
     """Goal x requirement impacts; ``rows`` maps a goal to its non-zero
     cells."""
 
-    def __new__(cls, goals: tuple[str, ...], requirements: tuple[str, ...],
-                rows: Mapping[str, Mapping[str, float]]):
-        # ``rows`` replaced a flat ``{(goal, requirement): value}`` field;
-        # such a dict would otherwise read as all zeros.
-        if any(isinstance(g, tuple) for g in rows):
-            raise TypeError("ImpactMatrix.rows maps a goal to its "
-                            "{requirement: value} cells, not "
-                            "(goal, requirement) pairs to values")
-        return super().__new__(cls, goals, requirements, rows)
+    __slots__ = ()
 
-    @cached_property
+    @property
     def entries(self) -> dict[tuple[str, str], float]:
+        """{(goal, requirement): impact} for every non-zero cell."""
         return {(g, r): v for g in self.goals
                 for r, v in self.rows.get(g, _NO_CELLS).items()}
 
     # The renderers below take an optional goal list (default: all goals)
-    # and format each distinct value once; a goal's line starts from a
-    # copy of the all-zero line and only its non-zero cells are filled in.
+    # and format each distinct value once, through a ``functools.cache``
+    # made per call; a goal's line starts from a copy of the all-zero line
+    # and only its non-zero cells are filled in.
 
     def _lines(self, goals: Iterable[str], columns: tuple[str, ...],
                blank: list[str], cell: Callable[[int, float], str],
@@ -78,7 +66,7 @@ class ImpactMatrix(Frozen, namedtuple("ImpactMatrix",
             yield cells
 
     def to_csv(self, goals: Iterable[str] | None = None) -> str:
-        text = _formatter("{:.2f}".format)
+        text = cache("{:.2f}".format)
         return render.csv(["goal", *self.requirements], self._lines(
             self.goals if goals is None else goals, self.requirements,
             [text(0.0)] * len(self.requirements), lambda i, v: text(v),
@@ -87,7 +75,7 @@ class ImpactMatrix(Frozen, namedtuple("ImpactMatrix",
     def to_table(self, goals: Iterable[str] | None = None) -> str:
         """A ``render.table``, its columns sized to the shown goals."""
         goals = list(self.goals if goals is None else goals)
-        text = _formatter("{:.2f}".format)
+        text = cache("{:.2f}".format)
         zero = text(0.0)
         # A column is as wide as its id, its shown cells and, when some
         # shown goal has no cell in it, the zero text.
@@ -124,7 +112,7 @@ class ImpactMatrix(Frozen, namedtuple("ImpactMatrix",
 
         goals = dict.fromkeys(self.goals if goals is None else goals)
         columns = tuple(dict.fromkeys(self.requirements))
-        text = _formatter(json.dumps)
+        text = cache(json.dumps)
         prefix = [f"    {json.dumps(r)}: " for r in columns]
         blocks = []
         for g, cells in zip(goals, self._lines(
@@ -135,19 +123,6 @@ class ImpactMatrix(Frozen, namedtuple("ImpactMatrix",
         if not blocks:
             return "{}\n"
         return "{\n" + ",\n".join(blocks) + "\n}\n"
-
-
-def _formatter(fmt: Callable[[float], str]) -> Callable[[float], str]:
-    """``fmt``, called once per distinct value."""
-    cache: dict[float, str] = {}
-
-    def text(value: float) -> str:
-        cell = cache.get(value)
-        if cell is None:
-            cell = cache[value] = fmt(value)
-        return cell
-
-    return text
 
 
 def impact(model: SecurityModel, goal: str, requirement: str) -> float:
@@ -182,37 +157,3 @@ def build_srl(model: SecurityModel,
                for r in model.sorted_requirements() if r.id in row]
     entries.sort(key=lambda e: -e[1])
     return tuple(entries)
-
-
-ORACLE_NODE_LIMIT = 20
-
-
-def brute_force_impact(model: SecurityModel, goal: str, requirement: str) -> float:
-    """Enumerate every simple path goal -> requirement explicitly.
-
-    Exponential; guarded by the size of the subgraph reachable from the
-    source so large models can still be checked goal by goal.
-    """
-    known = model.goal_ids() | model.requirement_ids()
-    for node in (goal, requirement):
-        if node not in known:
-            raise KeyError(f"unknown node {node!r}")
-    reachable = model.graph.reachable(goal)
-    if len(reachable) > ORACLE_NODE_LIMIT:
-        raise OracleSizeError(
-            f"{len(reachable)} nodes reachable from {goal}, "
-            f"oracle limit is {ORACLE_NODE_LIMIT}")
-    adj = adjacency(model)
-    best = 0.0
-    stack: list[tuple[str, float, frozenset[str]]] = [
-        (goal, math.inf, frozenset({goal}))]
-    while stack:
-        node, width, visited = stack.pop()
-        for child, degree in adj.get(node, ()):
-            if child in visited:
-                continue
-            w = min(width, degree)
-            if child == requirement:
-                best = max(best, w)
-            stack.append((child, w, visited | {child}))
-    return best

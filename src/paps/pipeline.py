@@ -52,8 +52,8 @@ def prioritize(model: SecurityModel, risk: RiskProfile, goal: str,
         try:
             rds = defuzzify_cog(config.output, activations)
         except NoActivationError:
-            rds = min(map(config.output.term_centroid,
-                          config.output.term_names()))
+            # the lowest term centroid, from the table that label reads
+            rds = min(cog for _, _, cog in config.output._ranked_terms)
             no_activation = True
         term = label(config.output, rds)
         entries.append(PrioritizedEntry(

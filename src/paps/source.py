@@ -28,10 +28,20 @@ class ParseError(Exception):
         return value
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``, as ``str.splitlines`` gives them, but ended
+    only by LF, CRLF or CR, as an editor counts them; ``splitlines`` also
+    breaks at VT, FF, U+001C-U+001E, U+0085, U+2028 and U+2029."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the text ends with a line break, or is empty
+    return lines
+
+
 def nonblank_lines(text: str) -> Iterator[tuple[int, int, str]]:
     """(line, column of the first non-blank character, stripped text) of
     each line of ``text`` that is not blank."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if line:
             yield lineno, len(raw) - len(raw.lstrip()) + 1, line

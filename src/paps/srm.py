@@ -18,7 +18,7 @@ import re
 
 from .model import (DerivationRule, Goal, Requirement, RiskProfile,
                     SecurityModel, natural_key)
-from .source import NUMBER, ParseError, nonblank_lines
+from .source import NUMBER, ParseError, nonblank_lines, split_lines
 
 
 class SrmError(ParseError):
@@ -142,7 +142,7 @@ def parse_model(text: str) -> tuple[SecurityModel, RiskProfile]:
                                         degree))
 
     if not goals:
-        raise SrmError(len(text.splitlines()) + 1, 1, "no goals declared")
+        raise SrmError(len(split_lines(text)) + 1, 1, "no goals declared")
     # references must resolve; report the first offender with its position
     for rule in rules:
         for node in (rule.head, *rule.body):

@@ -51,8 +51,15 @@ def random_dag_model(rng: random.Random, max_nodes: int = 12) -> SecurityModel:
     return SecurityModel(tuple(goals), tuple(reqs), tuple(rules), root="G0")
 
 
+# What ``str.splitlines`` breaks at besides LF, CR and CRLF; in a .srm or
+# .rules file each is a character of its line.
+NOT_LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+NOT_LINE_BREAK_IDS = [f"U+{ord(c):04X}" for c in NOT_LINE_BREAKS]
+
+
 def _random_text(rng: random.Random) -> str:
-    alphabet = string.ascii_letters + string.digits + ' .,"\\-'
+    alphabet = (string.ascii_letters + string.digits + ' .,"\\-'
+                + NOT_LINE_BREAKS + "\u00e9\u00df\u03bb\u0436")
     return "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 24)))
 
 

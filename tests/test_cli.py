@@ -57,6 +57,14 @@ class TestValidate:
         assert result.output == (
             f"error: {path}: line 2, column 7: not UTF-8 text\n")
 
+    def test_bad_byte_line_counts_only_lf_cr_and_crlf(self, runner, tmp_path):
+        path = tmp_path / "latin1.srm"
+        path.write_bytes('goal S "a\u2028b\fc"\r\n# '.encode() + b"\xff\n")
+        result = _invoke(runner, "validate", str(path))
+        assert result.exit_code == 1
+        assert result.output == (
+            f"error: {path}: line 2, column 3: not UTF-8 text\n")
+
     @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
     def test_bad_byte_column_does_not_count_a_byte_order_mark(
             self, runner, tmp_path, bom):

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import paps
+from generators import NOT_LINE_BREAK_IDS, NOT_LINE_BREAKS
 from paps.fcl import FclError, parse_rulebase
 
 SMALL = """\
@@ -83,6 +84,18 @@ class TestParseRulebase:
         config, rulebase = parse_rulebase(
             "// banner\n# another\n" + SMALL)
         assert len(rulebase.rules) == 1
+
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=NOT_LINE_BREAK_IDS)
+    def test_a_comment_does_not_shift_later_lines(self, char):
+        # a line ends only at LF, CR or CRLF, as an editor counts lines
+        bad = SMALL.replace("RANGE := (0.0 .. 1.0);", "RANGE = 0 1", 1)
+        with pytest.raises(FclError) as exc:
+            parse_rulebase(f"// banner{char}more\n" + bad)
+        assert (exc.value.line, exc.value.column) == (3, 5)
+        with pytest.raises(FclError) as exc:
+            parse_rulebase(f"VAR_INPUT impact\n  // a{char}b\n")
+        assert (exc.value.line, exc.value.column) == (3, 1)
+        assert exc.value.message == "unterminated input block"
 
     def test_malformed_term_breakpoints_rejected(self):
         bad = SMALL.replace("TERM weak := (0, 0.2, 0.3, 0.5);",

@@ -192,6 +192,20 @@ class TestDefuzzifyCog:
                                  (("t", TrapezoidMF(0, 0, 1, 1)),))
         assert defuzzify_cog(var, {"t": 1.0}) == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("mf, height, expected", [
+        (TrapezoidMF(0.5, 0.5, 0.7, 0.7), 1.0, 0.6),
+        (TrapezoidMF(0.5, 0.5, 0.7, 0.7), 0.25, 0.6),
+        (TrapezoidMF(0.4, 0.4, 0.4, 0.7), 1.0, 0.5),
+        (TrapezoidMF(0.3, 0.6, 0.6, 0.6), 1.0, 0.5),
+    ], ids=["rectangle", "clipped-rectangle", "left-edge", "right-edge"])
+    def test_vertical_edge_inside_the_universe(self, mf, height, expected):
+        # the aggregate is 0 before a rising edge and after a falling one
+        var = LinguisticVariable("p", (0.0, 1.0), (("t", mf),))
+        assert defuzzify_cog(var, {"t": height}) == pytest.approx(
+            expected, abs=1e-15)
+        if height == 1.0:
+            assert var.term_centroid("t") == pytest.approx(expected, abs=1e-15)
+
     def test_all_zero_raises(self):
         var = _simple_config().output
         with pytest.raises(NoActivationError):
@@ -236,6 +250,14 @@ class TestLabel:
         assert (mf_eval(var.term("normal"), crossing)
                 == mf_eval(var.term("strong"), crossing))
         assert label(var, crossing) == "strong"
+
+    def test_tie_breaks_on_the_exact_centroid_of_a_rectangle(self):
+        # Both memberships are 0 at 0.2, so the higher centroid wins: 0.6
+        # for the rectangle, 0.55 for the triangle.
+        var = LinguisticVariable("p", (0.0, 1.0), (
+            ("peak", TrapezoidMF(0.45, 0.55, 0.55, 0.65)),
+            ("block", TrapezoidMF(0.5, 0.5, 0.7, 0.7))))
+        assert label(var, 0.2) == "block"
 
     def test_full_tie_goes_to_the_first_name_in_any_order(self):
         twin = TrapezoidMF(0.2, 0.4, 0.6, 0.8)

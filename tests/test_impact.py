@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from generators import random_dag_model
 from obs_tables import EXPECTED_IMPACTS, GOAL_IDS, REQ_IDS
-from paps.impact import (ImpactMatrix, OracleSizeError, brute_force_impact,
-                         build_srl, impact, impact_matrix)
+from oracle import OracleSizeError, brute_force_impact
+from paps.impact import build_srl, impact, impact_matrix
 from paps.model import (DerivationRule, Goal, Requirement, SecurityModel)
 
 
@@ -313,10 +313,6 @@ class TestSinglePass:
             ["S", "G1"], ["R1", "R2"],
             [("S", ["R1"], 12.5), ("G1", ["R2"], float("inf"))], "S"))
         assert matrix.to_table(goals) == _table_reference(matrix, goals)
-
-    def test_pair_keyed_rows_are_rejected(self):
-        with pytest.raises(TypeError, match="not \\(goal, requirement\\)"):
-            ImpactMatrix(("S",), ("R1",), {("S", "R1"): 0.5})
 
     def test_rows_are_computed_once_per_model(self, obs):
         model, _ = obs

@@ -103,12 +103,10 @@ def test_repr_names_the_fields():
      ValueError, "duplicate term names in v"),
     (lambda: LinguisticVariable("v", (0.0, 0.5), (("a", MF),)), ValueError,
      "term v.a lies outside the universe"),
-    (lambda: ImpactMatrix(("S",), ("R1",), {("S", "R1"): 0.5}), TypeError,
-     "not \\(goal, requirement\\)"),
     (lambda: DeviationMembership(0.0), ValueError,
      "half_width must be positive"),
 ], ids=["trapezoid", "trapezoid-keywords", "empty-universe", "duplicate-term",
-        "term-outside", "pair-keyed-rows", "deviation-width"])
+        "term-outside", "deviation-width"])
 def test_constructor_checks_raise_from_library_code(build, error, message):
     with pytest.raises(error, match=message) as exc:
         build()

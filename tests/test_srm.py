@@ -3,7 +3,7 @@ import random
 import pytest
 
 import paps
-from generators import random_valid_model
+from generators import NOT_LINE_BREAKS, random_valid_model
 from paps.srm import SrmError, format_number, parse_model, serialize_model
 
 MINIMAL = (
@@ -191,6 +191,15 @@ class TestParse:
             id="keyword-without-space"),
         pytest.param("# only a comment\n\n", 3, 1, "no goals declared",
                      id="no-goals"),
+        # a line ends only at LF, CR or CRLF
+        pytest.param(
+            "# a\u2028with a line separator\n" + GOAL + "  foo bar\n", 3, 3,
+            "unknown directive 'foo'", id="line-separator-in-a-comment"),
+        pytest.param(
+            GOAL + 'req R1 "a\fb" cost=0.1 tech=1\n  foo bar\n', 3, 3,
+            "unknown directive 'foo'", id="form-feed-in-a-description"),
+        pytest.param("# a\u2029b\x85c\v\n\n", 3, 1, "no goals declared",
+                     id="no-goals-after-separators"),
         pytest.param("", 1, 1, "no goals declared", id="empty"),
         pytest.param(
             GOAL + "rule P1: G2 -> S @ 0.5\n", 2, 1,
@@ -263,6 +272,15 @@ class TestSerialize:
         model, risk = parse_model(MINIMAL)
         lines = serialize_model(model, risk).strip().splitlines()
         assert len(lines) == 3
+
+    def test_only_lf_cr_and_crlf_end_a_line(self):
+        description = f"a{NOT_LINE_BREAKS}b"
+        model, risk = parse_model(
+            f'goal S "{description}"\r\nreq R1 "{description}" cost=0 '
+            f'tech=0\rrule P1: S -> R1 @ 1\n')
+        assert [model.goals[0].description,
+                model.requirements[0].description] == [description] * 2
+        assert parse_model(serialize_model(model, risk)) == (model, risk)
 
     def test_random_models_round_trip(self):
         rng = random.Random(20240823)
