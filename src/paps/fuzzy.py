@@ -69,6 +69,8 @@ class LinguisticVariable(Frozen, namedtuple(
         lo, hi = universe
         if not lo < hi:
             raise ValueError(f"empty universe for {name}")
+        if not terms:
+            raise ValueError(f"variable {name} has no terms")
         names = [t for t, _ in terms]
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate term names in {name}")
@@ -159,9 +161,12 @@ class RuleBase(Frozen, namedtuple("RuleBase", "rules")):
 def fuzzify(config: VariableConfig,
             inputs: Mapping[str, float]) -> dict[tuple[str, str], float]:
     """Membership degree of every (input variable, term) at the crisp inputs."""
+    by_name = config._inputs_by_name
     degrees: dict[tuple[str, str], float] = {}
     for name, x in inputs.items():
-        var = config.input(name)
+        var = by_name.get(name)
+        if var is None:
+            raise KeyError(f"unknown input variable {name!r}")
         lo, hi = var.universe
         if not lo <= x <= hi:
             raise UniverseError(
@@ -214,6 +219,12 @@ def _segments(mf: TrapezoidMF,
         slope = -act / (x3 - xe2)
         pieces.append((xe2, x3, slope, -slope * x3))
     return pieces
+
+
+# An aggregate whose highest value is below _TINY is integrated scaled up by
+# _UPSCALE (both powers of two).
+_TINY = 2.0 ** -900
+_UPSCALE = 2.0 ** 1000
 
 
 def _piecewise_cog(active: list[tuple[float, TrapezoidMF]],
@@ -286,6 +297,11 @@ def _piecewise_cog(active: list[tuple[float, TrapezoidMF]],
                                       in segments if xa < x <= xb)])
                 starts[i] = max([0.0, *(s * x + b for xa, xb, s, b
                                         in segments if xa <= x < xb)])
+    if 0.0 < max(fs) < _TINY:
+        # The moment would underflow (activation 5e-324 on a flat strip
+        # gives 0.0); a power-of-two scale is exact and cancels in the ratio.
+        starts = [f * _UPSCALE for f in starts]
+        ends = [f * _UPSCALE for f in ends]
     moment = 0.0
     mass = 0.0
     for a, b, fa, fb in zip(xs, xs[1:], starts, ends[1:]):
@@ -300,8 +316,8 @@ def _piecewise_cog(active: list[tuple[float, TrapezoidMF]],
 def defuzzify_cog(variable: LinguisticVariable,
                   activations: Mapping[str, float]) -> float:
     """Centroid of the max over terms of min(activation, term MF)."""
-    active = [(activations.get(term, 0.0), mf) for term, mf in variable.terms
-              if activations.get(term, 0.0) > 0.0]
+    active = [(act, mf) for term, mf in variable.terms
+              if (act := activations.get(term, 0.0)) > 0.0]
     return _piecewise_cog(active, variable.universe)
 
 
@@ -323,7 +339,6 @@ def label(variable: LinguisticVariable, crisp: float) -> str:
         if degree > best_degree or (degree == best_degree and cog > best_cog):
             best_degree, best_cog = degree, cog
             best_term = term
-    assert best_term is not None
     return best_term
 
 

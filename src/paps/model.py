@@ -130,6 +130,19 @@ class SecurityModel(Frozen, namedtuple(
                             key=lambda r: natural_key(r.id)))
 
     @cached_property
+    def _requirement_ranks(self) -> dict[str, int]:
+        """Requirement id -> its place in natural id order; ids with equal
+        natural keys (R1, R01) share a place."""
+        ranks: dict[str, int] = {}
+        rank, last = -1, None
+        for r in self._sorted_requirements:
+            key = natural_key(r.id)
+            if key != last:
+                rank, last = rank + 1, key
+            ranks[r.id] = rank
+        return ranks
+
+    @cached_property
     def graph(self) -> ModelGraph:
         return ModelGraph(self)
 

@@ -10,7 +10,7 @@ from .fcl import check_inputs
 from .fuzzy import (NoActivationError, RuleBase, UniverseError, VariableConfig,
                     defuzzify_cog, fuzzify, infer, label, short_label)
 from .impact import build_srl
-from .model import RiskProfile, SecurityModel, natural_key
+from .model import RiskProfile, SecurityModel
 
 
 class PrioritizedEntry(namedtuple(
@@ -29,6 +29,45 @@ class PrioritizedEntry(namedtuple(
     no_activation: bool
 
 
+def _score(model: SecurityModel, risk: RiskProfile, goal: str,
+           config: VariableConfig, rulebase: RuleBase
+           ) -> list[tuple[str, float, float, float, float, bool]]:
+    """(requirement, impact, cost, tech, rds, no_activation) for every
+    requirement contributing to goal, highest RDS first, ties in natural
+    requirement id order: the one scoring loop of ``prioritize`` and
+    ``relax_srl``.
+
+    Each entry runs ``fuzzify``, ``infer`` and ``defuzzify_cog`` once,
+    looked up here so that wrappers installed in this module see them.
+    """
+    check_inputs(config)
+    output = config.output
+    costs, techs = risk.cost, risk.technical_ability
+    fallback = None
+    scored = []
+    for req_id, impact_value in build_srl(model, goal):
+        cost, tech = costs[req_id], techs[req_id]
+        try:
+            fuzzified = fuzzify(config, {"impact": impact_value, "cost": cost,
+                                         "tech": tech})
+        except UniverseError as exc:
+            raise UniverseError(f"requirement {req_id}: {exc}") from exc
+        activations = infer(rulebase, fuzzified)
+        try:
+            scored.append((req_id, impact_value, cost, tech,
+                           defuzzify_cog(output, activations), False))
+        except NoActivationError:
+            if fallback is None:
+                # the lowest term centroid, from the table that label reads
+                fallback = min(cog for _, _, cog in output._ranked_terms)
+            scored.append((req_id, impact_value, cost, tech, fallback, True))
+    # ids of equal natural key (R1, R01) share a rank, so this stable sort
+    # orders ties as a sort on natural_key would.
+    rank = model._requirement_ranks
+    scored.sort(key=lambda s: (-s[4], rank[s[0]]))
+    return scored
+
+
 def prioritize(model: SecurityModel, risk: RiskProfile, goal: str,
                config: VariableConfig, rulebase: RuleBase) -> list[PrioritizedEntry]:
     """RDS and linguistic priority for every requirement contributing to goal.
@@ -38,32 +77,14 @@ def prioritize(model: SecurityModel, risk: RiskProfile, goal: str,
     term and the entry is flagged rather than dropped. The inputs bind to
     the rule base's variables by name, not by declaration order.
     """
-    check_inputs(config)
+    output = config.output
     entries: list[PrioritizedEntry] = []
-    for req_id, impact_value in build_srl(model, goal):
-        inputs = {"impact": impact_value, "cost": risk.cost[req_id],
-                  "tech": risk.technical_ability[req_id]}
-        try:
-            fuzzified = fuzzify(config, inputs)
-        except UniverseError as exc:
-            raise UniverseError(f"requirement {req_id}: {exc}") from exc
-        activations = infer(rulebase, fuzzified)
-        no_activation = False
-        try:
-            rds = defuzzify_cog(config.output, activations)
-        except NoActivationError:
-            # the lowest term centroid, from the table that label reads
-            rds = min(cog for _, _, cog in config.output._ranked_terms)
-            no_activation = True
-        term = label(config.output, rds)
+    for req_id, impact_value, cost, tech, rds, no_activation in _score(
+            model, risk, goal, config, rulebase):
+        term = label(output, rds)
         entries.append(PrioritizedEntry(
-            goal=goal, requirement=req_id,
-            impact=impact_value,
-            cost=risk.cost[req_id],
-            tech=risk.technical_ability[req_id],
-            rds=rds, term=term, label=short_label(term),
-            no_activation=no_activation))
-    entries.sort(key=lambda e: (-e.rds, natural_key(e.requirement)))
+            goal, req_id, impact_value, cost, tech, rds, term,
+            short_label(term), no_activation))
     return entries
 
 

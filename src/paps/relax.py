@@ -13,7 +13,8 @@ from collections import namedtuple
 from . import render
 from .fuzzy import RuleBase, VariableConfig
 from .model import Requirement, RiskProfile, SecurityModel
-from .pipeline import prioritize
+# ``prioritize`` is imported for bench/tracing.py, which wraps it here.
+from .pipeline import _score, prioritize  # noqa: F401
 from .srm import format_number
 
 DEFAULT_CONNECTOR = "as close as possible to"
@@ -39,8 +40,11 @@ class RelaxedStatement(namedtuple(
     rendered: str
 
 
+_TRAILING_DIGITS = re.compile(r"(\d+)$")
+
+
 def _ov_symbol(req_id: str) -> str:
-    m = re.search(r"(\d+)$", req_id)
+    m = _TRAILING_DIGITS.search(req_id)
     return f"OV_{m.group(1)}" if m else f"OV_{req_id}"
 
 
@@ -59,9 +63,11 @@ def relax_requirement(req: Requirement, rds: float) -> RelaxedStatement:
 
 def relax_srl(model: SecurityModel, risk: RiskProfile, goal: str,
               config: VariableConfig, rulebase: RuleBase) -> list[RelaxedStatement]:
-    """One relaxed statement per prioritized requirement, same order."""
-    return [relax_requirement(model.requirement(e.requirement), e.rds)
-            for e in prioritize(model, risk, goal, config, rulebase)]
+    """One relaxed statement per requirement, in ``prioritize`` order; no
+    label is computed."""
+    return [relax_requirement(model.requirement(req_id), rds)
+            for req_id, _, _, _, rds, _ in _score(model, risk, goal, config,
+                                                  rulebase)]
 
 
 def relax_text(statements: list[RelaxedStatement]) -> str:

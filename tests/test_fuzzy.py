@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from oracle import exact_cog
 from paps.fuzzy import (FuzzyRule, LinguisticVariable, NoActivationError,
                         RuleBase, TrapezoidMF, VariableConfig, defuzzify_cog,
                         fuzzify, infer, label, mf_eval, short_label)
@@ -109,6 +110,15 @@ class TestFuzzify:
         with pytest.raises(ValueError, match="universe"):
             fuzzify(_simple_config(), {"impact": 1.5})
 
+    def test_unknown_input_raises_like_config_input(self):
+        config = _simple_config()
+        with pytest.raises(KeyError) as expected:
+            config.input("cost")
+        with pytest.raises(KeyError) as exc:
+            fuzzify(config, {"impact": 0.5, "cost": 0.5})
+        assert str(exc.value) == str(expected.value) == (
+            "\"unknown input variable 'cost'\"")
+
 
 class TestInfer:
     def _rulebase(self):
@@ -205,6 +215,18 @@ class TestDefuzzifyCog:
             expected, abs=1e-15)
         if height == 1.0:
             assert var.term_centroid("t") == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("mf", [TrapezoidMF(0, 0, 0, 1),
+                                    TrapezoidMF(0, 0.5, 0.5, 1)],
+                             ids=["shoulder", "triangle"])
+    @pytest.mark.parametrize("height", [5e-324, 1e-320, 1e-310, 2.0 ** -1000])
+    def test_tiny_activation_keeps_its_centroid(self, mf, height):
+        # the clipped term is a strip whose area underflows unless scaled
+        var = LinguisticVariable("p", (0.0, 1.0), (("t", mf),))
+        exact, area = exact_cog([(height, mf)], var.universe)
+        assert area > 0
+        assert defuzzify_cog(var, {"t": height}) == pytest.approx(
+            float(exact), abs=1e-9)
 
     def test_all_zero_raises(self):
         var = _simple_config().output

@@ -8,8 +8,13 @@ follow API changes made since: ``_ref_fuzzify`` tests ``lo <= x <= hi``
 itself where it called ``var.contains(x)``; ``_ref_infer`` takes no
 variable config and returns the activations dict, not an output wrapper;
 and ``_ref_defuzzify_cog`` takes the output variable and the activations.
-Every comparison is exact: the same float bits, the same activation keys
-in the same order, the same labels, and the same exceptions.
+``_ref_piecewise_cog`` also takes up the kernel's fix for tiny activations:
+when the aggregate's highest value at the cuts is positive but below
+2^-900, every value is multiplied by 2^1000 before integrating, which is
+exact and keeps the moment from underflowing (activation 5e-324 on
+``(0, 0, 0, 1)`` gave 0.0, not 0.5). Every comparison is exact: the same
+float bits, the same activation keys in the same order, the same labels,
+and the same exceptions.
 
 One exception: the reference integrates a vertical edge inside the
 universe (a clipped term that starts or ends above 0 there, as a shoulder
@@ -115,10 +120,12 @@ def _ref_piecewise_cog(active, universe):
         return value
 
     xs = sorted(cuts)
+    values = [aggregate(x) for x in xs]
+    if 0.0 < max(values) < 2.0 ** -900:
+        values = [v * 2.0 ** 1000 for v in values]
     moment = 0.0
     mass = 0.0
-    for a, b in zip(xs, xs[1:]):
-        fa, fb = aggregate(a), aggregate(b)
+    for a, b, fa, fb in zip(xs, xs[1:], values, values[1:]):
         width = b - a
         mass += width * (fa + fb) / 2.0
         moment += width * (fa * (2.0 * a + b) + fb * (a + 2.0 * b)) / 6.0
@@ -189,8 +196,9 @@ def _edge_terms(variable):
                           variable.universe)
 
 
-# Below this area the float integrals underflow (an activation of 5e-324
-# has an area of at most 5e-324), so there only a zero area is checked.
+# Below this area the float integrals can underflow (a narrow piece's width
+# times its height; the kernel rescales only an aggregate whose highest value
+# is below 2^-900), so there only a zero area is checked.
 MIN_AREA = Fraction(2) ** -900
 # Far below a formula error: the ramp across the edges of the rectangle
 # (0.5, 0.5, 0.7, 0.7) on [0, 1] is off by about 2.8e14 ulps.

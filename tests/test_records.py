@@ -99,14 +99,16 @@ def test_repr_names_the_fields():
      "breakpoints must be ordered"),
     (lambda: LinguisticVariable("v", (1.0, 1.0), ()), ValueError,
      "empty universe for v"),
+    (lambda: LinguisticVariable("v", (0.0, 1.0), ()), ValueError,
+     "variable v has no terms"),
     (lambda: LinguisticVariable("v", (0.0, 1.0), (("a", MF), ("a", MF))),
      ValueError, "duplicate term names in v"),
     (lambda: LinguisticVariable("v", (0.0, 0.5), (("a", MF),)), ValueError,
      "term v.a lies outside the universe"),
     (lambda: DeviationMembership(0.0), ValueError,
      "half_width must be positive"),
-], ids=["trapezoid", "trapezoid-keywords", "empty-universe", "duplicate-term",
-        "term-outside", "deviation-width"])
+], ids=["trapezoid", "trapezoid-keywords", "empty-universe", "no-terms",
+        "duplicate-term", "term-outside", "deviation-width"])
 def test_constructor_checks_raise_from_library_code(build, error, message):
     with pytest.raises(error, match=message) as exc:
         build()

@@ -4,8 +4,12 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from obs_tables import EXPECTED_METRICS, REQ_IDS
-from paps.model import Requirement
+import paps
+from obs_tables import EXPECTED_METRICS, GOAL_IDS, REQ_IDS
+from paps.fcl import parse_rulebase
+from paps.fuzzy import RuleBase, UniverseError
+from paps.model import (DerivationRule, Goal, Requirement, RiskProfile,
+                        SecurityModel)
 from paps.pipeline import prioritize
 from paps.relax import (DeviationMembership, RenderError, default_deviation,
                         deviation_degree, relax_requirement, relax_srl)
@@ -85,6 +89,72 @@ class TestRelaxSrl:
         lonely = SecurityModel(model.goals + (Goal("G99", "isolated"),),
                                model.requirements, model.rules, model.root)
         assert relax_srl(lonely, risk, "G99", *default_fis) == []
+
+
+def _strong_rules_only(rulebase: RuleBase) -> RuleBase:
+    """The rule base with every rule not concluding ``strong`` dropped, so
+    most entries have no activation."""
+    return RuleBase(tuple(r for r in rulebase.rules
+                          if r.consequent[1] == "strong"))
+
+
+class TestRelaxAgreesWithPrioritize:
+    """relax_srl scores without labels or entry records, and must still
+    give what relax_requirement over prioritize gives."""
+
+    @pytest.mark.parametrize("gaps", [False, True],
+                             ids=["default-rules", "rules-with-gaps"])
+    def test_every_obs_goal(self, obs, default_fis, gaps):
+        model, risk = obs
+        config, rulebase = default_fis
+        if gaps:
+            rulebase = _strong_rules_only(rulebase)
+        fallbacks = 0
+        for goal in GOAL_IDS:
+            entries = prioritize(model, risk, goal, config, rulebase)
+            fallbacks += sum(e.no_activation for e in entries)
+            assert relax_srl(model, risk, goal, config, rulebase) == [
+                relax_requirement(model.requirement(e.requirement), e.rds)
+                for e in entries]
+        assert (fallbacks > 0) == gaps
+
+    @pytest.mark.parametrize("ids, degrees, expected", [
+        (["R10", "R1", "R2", "R01"], [0.5] * 4, ["R1", "R01", "R2", "R10"]),
+        (["R01", "R2", "R1", "R10"], [0.5] * 4, ["R01", "R1", "R2", "R10"]),
+        # impacts 0.8 and 0.9 both lie in the core of ``high``, so the RDS
+        # ties and the stronger impact, listed first by build_srl, stays first
+        (["R1", "R01"], [0.8, 0.9], ["R01", "R1"]),
+        (["R01", "R1"], [0.8, 0.9], ["R1", "R01"]),
+    ], ids=["R1-declared-first", "R01-declared-first", "R01-stronger",
+            "R1-stronger"])
+    def test_ids_with_equal_natural_keys_keep_their_order(
+            self, default_fis, ids, degrees, expected):
+        model = SecurityModel(
+            (Goal("G1"),), tuple(Requirement(i, "d", "m") for i in ids),
+            tuple(DerivationRule(f"P{k}", "G1", (i,), d)
+                  for k, (i, d) in enumerate(zip(ids, degrees))), "G1")
+        risk = RiskProfile(dict.fromkeys(ids, 0.5), dict.fromkeys(ids, 0.5))
+        entries = prioritize(model, risk, "G1", *default_fis)
+        assert len({e.rds for e in entries}) == 1
+        assert [e.requirement for e in entries] == expected
+        assert [s.requirement for s in relax_srl(
+            model, risk, "G1", *default_fis)] == expected
+
+    def test_out_of_universe_cost_raises_the_same_error(self, obs):
+        model, risk = obs
+        config, rulebase = parse_rulebase(paps.default_rules_text().replace(
+            "VAR_INPUT cost\n    RANGE := (0.0 .. 1.0);\n"
+            "    TERM low := (0, 0, 0.25, 0.5);",
+            "VAR_INPUT cost\n    RANGE := (0.1 .. 1.0);\n"
+            "    TERM low := (0.1, 0.1, 0.25, 0.5);"))
+        messages = []
+        for call in (prioritize, relax_srl):
+            with pytest.raises(UniverseError) as exc:
+                call(model, risk, "S", config, rulebase)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert re.fullmatch(r"requirement R\d+: cost=0.05 outside "
+                            r"universe \[0.1, 1.0\]", messages[0])
 
 
 class TestDeviationDegree:
