@@ -127,8 +127,8 @@ class ImpactMatrix(namedtuple("ImpactMatrix", "goals requirements rows")):
 
 def impact(model: SecurityModel, goal: str, requirement: str) -> float:
     """Max over derivation paths of the min rule degree; 0 if no path."""
-    requirements = model.requirement_ids()
-    if goal not in model.goal_ids() | requirements:
+    requirements = model._requirements_by_id
+    if goal not in model._goals_by_id and goal not in requirements:
         raise KeyError(f"unknown node {goal!r}")
     if requirement not in requirements:
         raise KeyError(f"unknown requirement {requirement!r}")

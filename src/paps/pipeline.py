@@ -37,30 +37,44 @@ def _score(model: SecurityModel, risk: RiskProfile, goal: str,
     requirement id order: the one scoring loop of ``prioritize`` and
     ``relax_srl``.
 
-    Each entry runs ``fuzzify``, ``infer`` and ``defuzzify_cog`` once,
-    looked up here so that wrappers installed in this module see them.
+    Each distinct ``(impact, cost, tech)`` triple runs ``fuzzify``,
+    ``infer`` and ``defuzzify_cog`` once per rule base and config (see
+    ``RuleBase``), looked up here so that wrappers installed in this module
+    see them. An input outside its universe is never stored, so it raises
+    on every call.
     """
     check_inputs(config)
     output = config.output
+    held = rulebase._scores
+    memo_config, memo = held[0]
+    if memo_config is not config:
+        memo = {}
+        held[0] = (config, memo)
     costs, techs = risk.cost, risk.technical_ability
     fallback = None
     scored = []
     for req_id, impact_value in build_srl(model, goal):
         cost, tech = costs[req_id], techs[req_id]
-        try:
-            fuzzified = fuzzify(config, {"impact": impact_value, "cost": cost,
-                                         "tech": tech})
-        except UniverseError as exc:
-            raise UniverseError(f"requirement {req_id}: {exc}") from exc
-        activations = infer(rulebase, fuzzified)
-        try:
-            scored.append((req_id, impact_value, cost, tech,
-                           defuzzify_cog(output, activations), False))
-        except NoActivationError:
+        triple = (impact_value, cost, tech)  # -0.0 and 0.0 fuzzify alike
+        rds = memo.get(triple, memo)  # the memo itself stands for a miss
+        if rds is memo:
+            try:
+                fuzzified = fuzzify(config, {"impact": impact_value,
+                                             "cost": cost, "tech": tech})
+            except UniverseError as exc:
+                raise UniverseError(f"requirement {req_id}: {exc}") from exc
+            try:
+                rds = defuzzify_cog(output, infer(rulebase, fuzzified))
+            except NoActivationError:
+                rds = None
+            memo[triple] = rds
+        if rds is None:
             if fallback is None:
                 # the lowest term centroid, from the table that label reads
                 fallback = min(cog for _, _, cog in output._ranked_terms)
             scored.append((req_id, impact_value, cost, tech, fallback, True))
+        else:
+            scored.append((req_id, impact_value, cost, tech, rds, False))
     # ids of equal natural key (R1, R01) share a rank, so this stable sort
     # orders ties as a sort on natural_key would.
     rank = model._requirement_ranks

@@ -1,5 +1,6 @@
 """Model generators shared by the property and acceptance tests: random
-models, and ``bench_gen``, the benchmark's own ``bench/gen.py``."""
+models, ``bench_gen``, the benchmark's own ``bench/gen.py``, and a rule base
+with gaps."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import string
 import sys
 from pathlib import Path
 
+from paps.fuzzy import RuleBase
 from paps.model import (DerivationRule, Goal, Requirement, RiskProfile,
                         SecurityModel)
 
@@ -82,3 +84,10 @@ def random_valid_model(rng: random.Random,
         tech[r.id] = round(rng.random(), 6)
     return (SecurityModel(goals, tuple(reqs), skeleton.rules, root="G0"),
             RiskProfile(cost, tech))
+
+
+def strong_rules_only(rulebase: RuleBase) -> RuleBase:
+    """The rule base with every rule not concluding ``strong`` dropped, so
+    most entries have no activation."""
+    return RuleBase(tuple(r for r in rulebase.rules
+                          if r.consequent[1] == "strong"))

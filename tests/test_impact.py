@@ -51,6 +51,21 @@ class TestImpact:
         with pytest.raises(KeyError):
             impact(model, "S", "R99")
 
+    @pytest.mark.parametrize("node, requirement, message", [
+        ("G99", "R1", "unknown node 'G99'"),
+        ("S", "R99", "unknown requirement 'R99'"),
+        ("S", "G3", "unknown requirement 'G3'"),
+    ])
+    def test_error_texts(self, obs, node, requirement, message):
+        model, _ = obs
+        with pytest.raises(KeyError) as exc:
+            impact(model, node, requirement)
+        assert exc.value.args == (message,)
+
+    def test_a_requirement_is_accepted_as_the_node(self, obs):
+        model, _ = obs
+        assert impact(model, "R1", "R1") == impact(model, "R1", "R2") == 0.0
+
     def test_diamond(self):
         assert impact(DIAMOND, "g", "x") == pytest.approx(0.5)
 

@@ -1,16 +1,19 @@
 import json
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import paps
+from generators import strong_rules_only
 from obs_tables import EXPECTED_SUPPORT, GOAL_IDS
 from paps.fcl import FclError, parse_rulebase
 from paps.fuzzy import (LinguisticVariable, UniverseError, VariableConfig,
                         label)
+from paps.model import RiskProfile
 from paps.pipeline import prioritize, report_csv, report_json
-from paps.relax import relax_json, relax_srl
+from paps.relax import relax_json, relax_requirement, relax_srl
 
 
 def permuted_rules(order: list[int], rng) -> str:
@@ -116,31 +119,143 @@ class TestPrioritize:
             config.output.term_centroid("optional"))
 
 
+STAGES = ("fuzzify", "infer", "defuzzify_cog", "label")
+
+
+def count_stage_calls(monkeypatch) -> Counter:
+    """Wrap each fuzzy stage under its paps.pipeline name, where the scoring
+    loop looks it up, and count the calls from then on."""
+    import paps.pipeline as pipeline
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in STAGES:
+        monkeypatch.setattr(pipeline, name,
+                            counting(name, getattr(pipeline, name)))
+    return calls
+
+
+def cost_from_a_tenth_rules() -> str:
+    """The default rules with the cost universe starting at 0.1, above the
+    cost of some OBS requirements."""
+    return paps.default_rules_text().replace(
+        "VAR_INPUT cost\n    RANGE := (0.0 .. 1.0);\n"
+        "    TERM low := (0, 0, 0.25, 0.5);",
+        "VAR_INPUT cost\n    RANGE := (0.1 .. 1.0);\n"
+        "    TERM low := (0.1, 0.1, 0.25, 0.5);")
+
+
+def _sweep(model, risk, config, rulebase) -> list:
+    """prioritize and relax_srl of every OBS goal."""
+    return [(prioritize(model, risk, g, config, rulebase),
+             relax_srl(model, risk, g, config, rulebase)) for g in GOAL_IDS]
+
+
 class TestStageCalls:
-    """prioritize calls each fuzzy stage by its paps.pipeline name, once per
-    entry, so wrappers installed there see every inference."""
+    """The scoring loop calls each fuzzy stage by its paps.pipeline name, so
+    wrappers installed there see every inference. A rule base keeps a memo
+    of the triples it scored, so fuzzify, infer and defuzzify_cog run once
+    per distinct (impact, cost, tech) triple, and label once per entry."""
 
-    STAGES = ("fuzzify", "infer", "defuzzify_cog", "label")
-
-    def test_each_stage_runs_once_per_entry(self, obs, default_fis,
-                                            monkeypatch):
-        import paps.pipeline as pipeline
+    def test_inference_runs_once_per_distinct_triple(self, obs, monkeypatch):
         model, risk = obs
-        calls = dict.fromkeys(self.STAGES, 0)
+        expected = [prioritize(model, risk, g, *paps.load_default_rulebase())
+                    for g in GOAL_IDS]
+        calls = count_stage_calls(monkeypatch)
+        config, rulebase = paps.load_default_rulebase()
+        assert [prioritize(model, risk, g, config, rulebase)
+                for g in GOAL_IDS] == expected
+        entries = [e for goal_entries in expected for e in goal_entries]
+        triples = {(e.impact, e.cost, e.tech) for e in entries}
+        assert len(triples) < len(entries)  # triples repeat across goals
+        assert calls == {"fuzzify": len(triples), "infer": len(triples),
+                         "defuzzify_cog": len(triples),
+                         "label": len(entries)}
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+    def test_a_second_call_runs_no_fuzzy_stage(self, obs, monkeypatch):
+        model, risk = obs
+        config, rulebase = paps.load_default_rulebase()
+        first = prioritize(model, risk, "S", config, rulebase)
+        calls = count_stage_calls(monkeypatch)
+        assert prioritize(model, risk, "S", config, rulebase) == first
+        assert calls == {"label": len(first)}
+        calls.clear()
+        assert relax_srl(model, risk, "S", config, rulebase) == [
+            relax_requirement(model.requirement(e.requirement), e.rds)
+            for e in first]
+        assert calls == {}
 
-        expected = prioritize(model, risk, "S", *default_fis)
-        for name in self.STAGES:
-            monkeypatch.setattr(pipeline, name,
-                                counting(name, getattr(pipeline, name)))
-        entries = pipeline.prioritize(model, risk, "S", *default_fis)
-        assert entries == expected
-        assert calls == dict.fromkeys(self.STAGES, len(entries))
+
+class TestScoreMemo:
+    """The memo a rule base keeps gives the same results as scoring afresh."""
+
+    def test_warm_memo_still_raises_outside_a_universe(self, obs,
+                                                       monkeypatch):
+        model, risk = obs
+        config, rulebase = parse_rulebase(cost_from_a_tenth_rules())
+
+        def sweep() -> list:
+            outcomes = []
+            for goal in GOAL_IDS:
+                for call in (prioritize, relax_srl):
+                    try:
+                        outcomes.append(call(model, risk, goal, config,
+                                             rulebase))
+                    except UniverseError as exc:
+                        outcomes.append(str(exc))
+            return outcomes
+
+        cold = sweep()
+        errors = [o for o in cold if isinstance(o, str)]
+        assert errors and len(errors) < len(cold)
+        for message in errors:
+            assert re.fullmatch(r"requirement R\d+: cost=0.0\d outside "
+                                r"universe \[0.1, 1.0\]", message)
+        calls = count_stage_calls(monkeypatch)
+        assert sweep() == cold
+        # every call fuzzifies its bad triple again and nothing else
+        assert calls["fuzzify"] == len(errors)
+        assert calls["infer"] == calls["defuzzify_cog"] == 0
+
+    def test_a_hit_keeps_no_activation(self, obs):
+        model, risk = obs
+        config, rulebase = paps.load_default_rulebase()
+        starved = strong_rules_only(rulebase)
+        first = _sweep(model, risk, config, starved)
+        assert any(e.no_activation for entries, _ in first for e in entries)
+        assert _sweep(model, risk, config, starved) == first
+        assert first == _sweep(model, risk, config,
+                               strong_rules_only(rulebase))
+
+    def test_each_config_gets_its_own_scores(self, obs):
+        model, risk = obs
+        config, _ = paps.load_default_rulebase()
+        other, _ = parse_rulebase(paps.default_rules_text().replace(
+            "TERM strong := (0.53, 0.79, 1, 1);",
+            "TERM strong := (0.63, 0.89, 1, 1);"))
+        expected = {c: _sweep(model, risk, c, paps.load_default_rulebase()[1])
+                    for c in (config, other)}
+        assert expected[config] != expected[other]
+        _, rulebase = paps.load_default_rulebase()
+        for c in (config, other, config, other):
+            assert _sweep(model, risk, c, rulebase) == expected[c]
+
+    def test_a_changed_cost_is_scored_again(self, obs):
+        model, risk = obs
+        config, rulebase = paps.load_default_rulebase()
+        before = {e.requirement: e.rds
+                  for e in prioritize(model, risk, "S", config, rulebase)}
+        changed = RiskProfile({**risk.cost, "R1": 0.95},
+                              risk.technical_ability)
+        after = prioritize(model, changed, "S", config, rulebase)
+        assert after == prioritize(model, changed, "S",
+                                   *paps.load_default_rulebase())
+        assert {e.requirement: e.rds for e in after}["R1"] != before["R1"]
 
 
 class TestReports:
@@ -226,12 +341,7 @@ class TestInputBinding:
 
     def test_value_outside_a_universe_names_the_requirement(self, obs):
         model, risk = obs
-        text = paps.default_rules_text().replace(
-            "VAR_INPUT cost\n    RANGE := (0.0 .. 1.0);\n"
-            "    TERM low := (0, 0, 0.25, 0.5);",
-            "VAR_INPUT cost\n    RANGE := (0.1 .. 1.0);\n"
-            "    TERM low := (0.1, 0.1, 0.25, 0.5);")
-        config, rulebase = parse_rulebase(text)
+        config, rulebase = parse_rulebase(cost_from_a_tenth_rules())
         with pytest.raises(UniverseError,
                            match=r"requirement R\d+: cost=0.05 outside"):
             prioritize(model, risk, "S", config, rulebase)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import paps
+from generators import strong_rules_only
 from obs_tables import EXPECTED_METRICS, GOAL_IDS, REQ_IDS
 from paps.fcl import parse_rulebase
-from paps.fuzzy import RuleBase, UniverseError
+from paps.fuzzy import UniverseError
 from paps.model import (DerivationRule, Goal, Requirement, RiskProfile,
                         SecurityModel)
 from paps.pipeline import prioritize
@@ -91,13 +92,6 @@ class TestRelaxSrl:
         assert relax_srl(lonely, risk, "G99", *default_fis) == []
 
 
-def _strong_rules_only(rulebase: RuleBase) -> RuleBase:
-    """The rule base with every rule not concluding ``strong`` dropped, so
-    most entries have no activation."""
-    return RuleBase(tuple(r for r in rulebase.rules
-                          if r.consequent[1] == "strong"))
-
-
 class TestRelaxAgreesWithPrioritize:
     """relax_srl scores without labels or entry records, and must still
     give what relax_requirement over prioritize gives."""
@@ -108,7 +102,7 @@ class TestRelaxAgreesWithPrioritize:
         model, risk = obs
         config, rulebase = default_fis
         if gaps:
-            rulebase = _strong_rules_only(rulebase)
+            rulebase = strong_rules_only(rulebase)
         fallbacks = 0
         for goal in GOAL_IDS:
             entries = prioritize(model, risk, goal, config, rulebase)
