@@ -1,6 +1,12 @@
 """Command-line front end: validate, impacts, prioritize, relax.
 
 Exit codes: 0 success, 1 validation/parse/domain failure, 2 I/O or usage.
+A command whose stdout is closed (its reader gone, or file descriptor 1
+closed at start) exits 1 with nothing on stderr.
+
+``main`` runs one command line and raises ``SystemExit``, for in-process
+callers; ``run`` is the process entry point (``paps`` and ``python -m
+paps.cli``).
 """
 
 from __future__ import annotations
@@ -58,6 +64,8 @@ def _check_valid(model, risk) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
+        if sys.stdout is None:  # file descriptor 1 was closed at start
+            raise BrokenPipeError
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as handle:
@@ -68,13 +76,15 @@ def _validate(model_path: str) -> None:
     """Check a model file against all structural invariants."""
     model, risk = _load(parse_model, model_path)
     report = validate_model(model, risk)
-    for finding in report.findings:
-        print(finding)
+    lines = [f"{finding}\n" for finding in report.findings]
+    if report.ok:
+        warnings = (f", {len(report.warnings)} warning(s)"
+                    if report.warnings else "")
+        lines.append(f"ok: {len(model.goals)} goals, {len(model.requirements)}"
+                     f" requirements, {len(model.rules)} rules{warnings}\n")
+    _emit("".join(lines), None)
     if not report.ok:
         sys.exit(1)
-    print(f"ok: {len(model.goals)} goals, {len(model.requirements)} "
-          f"requirements, {len(model.rules)} rules"
-          + (f", {len(report.warnings)} warning(s)" if report.warnings else ""))
 
 
 def _impacts(model_path: str, goal: str | None, fmt: str,
@@ -184,11 +194,14 @@ def main(args: list[str] | None = None, prog_name: str | None = None):
             options = vars(_parser(prog_name or "paps").parse_args(args))
             options.pop("body")(**options)
         finally:
-            sys.stdout.flush()  # a closed pipe fails here, not at shutdown
+            if sys.stdout is not None:
+                sys.stdout.flush()  # a closed pipe fails here, not at shutdown
     except BrokenPipeError:
-        # stdout's reader has gone: stop quietly, and point stdout at
-        # devnull so the interpreter's own flush at exit has nowhere to fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # stdout's reader has gone (or there is no stdout): stop quietly,
+        # and point stdout at devnull so the interpreter's own flush at exit
+        # has nowhere to fail
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
     except OSError as exc:  # a model, --rules or --out that cannot be used
         _fail(str(exc), code=2)
@@ -198,5 +211,32 @@ def main(args: list[str] | None = None, prog_name: str | None = None):
     sys.exit(0)
 
 
+def run() -> None:
+    """The ``paps`` process: ``main``, then flush both streams and end the
+    process with ``main``'s exit code, skipping interpreter teardown.
+
+    ``paps`` registers no ``atexit`` handler and closes an ``--out`` file
+    in its ``with`` block, so after the flush nothing is left to write. Any
+    exception other than ``SystemExit`` propagates with its traceback.
+    """
+    try:
+        main()
+    except SystemExit as exc:
+        code = exc.code
+    # the interpreter's rules for a SystemExit code
+    if code is None:
+        code = 0
+    elif not isinstance(code, int):
+        print(code, file=sys.stderr)
+        code = 1
+    for stream in sys.stdout, sys.stderr:
+        if stream is not None:  # None: its file descriptor was closed at start
+            try:
+                stream.flush()
+            except (OSError, ValueError):
+                code = 1  # quietly, as for a closed pipe in main
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    main()
+    run()

@@ -41,7 +41,8 @@ def _score(model: SecurityModel, risk: RiskProfile, goal: str,
     ``infer`` and ``defuzzify_cog`` once per rule base and config (see
     ``RuleBase``), looked up here so that wrappers installed in this module
     see them. An input outside its universe is never stored, so it raises
-    on every call.
+    on every call. A requirement with no cost or no technical ability value
+    raises ``ValueError`` naming it, in ``validate_model``'s words.
     """
     check_inputs(config)
     output = config.output
@@ -54,7 +55,12 @@ def _score(model: SecurityModel, risk: RiskProfile, goal: str,
     fallback = None
     scored = []
     for req_id, impact_value in build_srl(model, goal):
-        cost, tech = costs[req_id], techs[req_id]
+        try:
+            cost = costs[req_id]
+            tech = techs[req_id]
+        except KeyError:
+            name = "technical ability" if req_id in costs else "cost"
+            raise ValueError(f"requirement {req_id}: no {name} value") from None
         triple = (impact_value, cost, tech)  # -0.0 and 0.0 fuzzify alike
         rds = memo.get(triple, memo)  # the memo itself stands for a miss
         if rds is memo:

@@ -1,4 +1,5 @@
 import codecs
+import io
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import paps
 import paps.cli
 from cli_runner import invoke
+from generators import bench_gen
 from obs_tables import EXPECTED_METRICS, GOAL_IDS, REQ_IDS
 
 
@@ -430,6 +432,108 @@ class TestCommandLineSurface:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == "\nAborted!\n"
+
+
+class _Exited(Exception):
+    """What a patched ``os._exit`` raises, with the status it was given."""
+
+
+def _close_stdout():
+    os.close(1)  # as ``paps ... >&-`` starts it: sys.stdout is None
+
+
+class TestProcess:
+    """``python -m paps.cli`` ends through ``run``: the same bytes and exit
+    codes as ``main`` in-process, with no interpreter teardown."""
+
+    @pytest.mark.parametrize("args,code", [
+        pytest.param(["validate", "MODEL"], 0, id="valid"),
+        pytest.param(["impacts", "CYCLIC"], 1, id="cycle"),
+        pytest.param(["validate", "MISSING"], 2, id="missing-model"),
+        pytest.param(["impacts", "MODEL", "--go", "S"], 2, id="usage"),
+    ])
+    def test_exit_code_and_streams_match_in_process(self, obs_path, tmp_path,
+                                                    args, code):
+        cyclic = tmp_path / "cyclic.srm"
+        cyclic.write_text(bench_gen.obs_cyclic_variant(0), encoding="utf-8")
+        where = {"MODEL": obs_path, "CYCLIC": str(cyclic),
+                 "MISSING": str(tmp_path / "missing")}
+        args = [where.get(arg, arg) for arg in args]
+        process = _run_module(*args, capture_output=True, text=True)
+        in_process = invoke(args)
+        assert in_process.exit_code == code
+        assert (process.returncode, process.stdout, process.stderr) == (
+            in_process.exit_code, in_process.stdout, in_process.stderr)
+
+    def test_output_larger_than_a_pipe_buffer_is_written_whole(self,
+                                                               tmp_path):
+        path = tmp_path / "layered.srm"
+        path.write_text(bench_gen.layered_model(3, 60, 120, layers=4).text,
+                        encoding="utf-8")
+        args = ["impacts", str(path), "--format", "json"]
+        process = _run_module(*args, capture_output=True)
+        assert process.returncode == 0, process.stderr
+        assert len(process.stdout) > 65536  # a Linux pipe buffer
+        assert process.stdout == invoke(args).stdout.encode()
+
+    @pytest.mark.parametrize("command", ["validate", "impacts"])
+    def test_closed_stdout_descriptor_exits_one_quietly(self, obs_path,
+                                                        command):
+        result = _run_module(command, obs_path, preexec_fn=_close_stdout,
+                             stderr=subprocess.PIPE)
+        assert result.returncode == 1
+        assert result.stderr == b""
+
+    def test_out_needs_no_stdout_descriptor(self, obs_path, tmp_path):
+        target = tmp_path / "f.csv"
+        result = _run_module("impacts", obs_path, "--format", "csv",
+                             "--out", str(target), preexec_fn=_close_stdout,
+                             stderr=subprocess.PIPE)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == b""
+        expected = invoke(["impacts", obs_path, "--format", "csv"]).stdout
+        assert target.read_bytes() == expected.encode()
+
+    @staticmethod
+    def _run_status(monkeypatch, code) -> int:
+        """The status ``run`` ends the process with when ``main`` raises
+        ``SystemExit(code)``; ``os._exit`` is patched to raise instead."""
+        def main():
+            raise SystemExit(code)
+
+        def exit_(status):
+            raise _Exited(status)
+
+        monkeypatch.setattr(paps.cli, "main", main)
+        monkeypatch.setattr(paps.cli.os, "_exit", exit_)
+        with pytest.raises(_Exited) as exc:
+            paps.cli.run()
+        (status,) = exc.value.args
+        return status
+
+    @pytest.mark.parametrize("code,status,stderr", [
+        pytest.param(None, 0, "", id="none"),
+        pytest.param(0, 0, "", id="zero"),
+        pytest.param(2, 2, "", id="int"),
+        pytest.param("bye", 1, "bye\n", id="text"),
+    ])
+    def test_run_exits_by_the_system_exit_rules(self, monkeypatch, capsys,
+                                                code, status, stderr):
+        assert self._run_status(monkeypatch, code) == status
+        assert capsys.readouterr().err == stderr
+
+    def test_run_exits_one_when_a_flush_fails(self, monkeypatch):
+        class Unflushable(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(sys, "stdout", Unflushable())
+        assert self._run_status(monkeypatch, 0) == 1
+
+    def test_console_script_is_the_process_entry(self):
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        lines = pyproject.read_text(encoding="utf-8").splitlines()
+        assert 'paps = "paps.cli:run"' in lines
 
 
 class TestVersion:

@@ -345,3 +345,21 @@ class TestInputBinding:
         with pytest.raises(UniverseError,
                            match=r"requirement R\d+: cost=0.05 outside"):
             prioritize(model, risk, "S", config, rulebase)
+
+    @pytest.mark.parametrize("call", [prioritize, relax_srl])
+    @pytest.mark.parametrize("table,req,message", [
+        ("cost", "R2", "no cost value"),
+        ("technical_ability", "R3", "no technical ability value")])
+    def test_missing_risk_value_names_the_requirement(self, obs, default_fis,
+                                                      call, table, req,
+                                                      message):
+        model, risk = obs
+        tables = risk._asdict()
+        tables[table] = {k: v for k, v in tables[table].items() if k != req}
+        broken = RiskProfile(**tables)
+        # the text validate reports for the same model
+        (finding,) = paps.validate_model(model, broken).errors
+        assert (finding.subject, finding.message) == (req, message)
+        with pytest.raises(ValueError) as exc:
+            call(model, broken, "S", *default_fis)
+        assert str(exc.value) == f"requirement {req}: {message}"
