@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation/parse/domain failure, 2 I/O or usage.
 A command whose stdout is closed (its reader gone, or file descriptor 1
-closed at start) exits 1 with nothing on stderr.
+closed at start) exits 1 with nothing on stderr, as do ``--help`` and
+``--version``. With stderr closed, errors are dropped, not sent to stdout.
 
 ``main`` runs one command line and raises ``SystemExit``, for in-process
 callers; ``run`` is the process entry point (``paps`` and ``python -m
@@ -28,8 +29,14 @@ from .source import ParseError, split_lines
 from .srm import parse_model
 
 
+def _warn(text: str) -> None:
+    """``text`` on stderr; nowhere if file descriptor 2 was closed at start."""
+    if sys.stderr is not None:
+        print(text, file=sys.stderr)
+
+
 def _fail(message: str, code: int = 1):
-    print(f"error: {message}", file=sys.stderr)
+    _warn(f"error: {message}")
     sys.exit(code)
 
 
@@ -57,8 +64,7 @@ def _load(parse: Callable, path: str | None):
 def _check_valid(model, risk) -> None:
     report = validate_model(model, risk)
     if not report.ok:
-        for finding in report.errors:
-            print(finding, file=sys.stderr)
+        _warn("\n".join(map(str, report.errors)))
         sys.exit(1)
 
 
@@ -109,7 +115,7 @@ def _for_goal(model_path: str, goal: str | None, rules: str | None,
     _check_valid(model, risk)
     config, rulebase = _load(parse_rulebase, rules)
     target = goal or model.root
-    if target not in model.goal_ids():
+    if target not in model._goals_by_id:
         _fail(f"unknown goal {target!r}")
     try:
         return run(model, risk, target, config, rulebase)
@@ -149,8 +155,24 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse writes to the other stream where one is None (its file
+    descriptor closed at start). Here a usage error then prints nothing,
+    and help or version text fails as a command's output does."""
+
+    def error(self, message):
+        if sys.stderr is None:
+            sys.exit(2)
+        super().error(message)
+
+    def _print_message(self, message, file=None):
+        if file is None:  # help or version text, with no stdout
+            raise BrokenPipeError
+        super()._print_message(message, file)
+
+
 def _parser(prog: str) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=prog, add_help=False, allow_abbrev=False,
         description="Prioritize and partially select security requirements "
                     "of a goal model.")
@@ -206,7 +228,7 @@ def main(args: list[str] | None = None, prog_name: str | None = None):
     except OSError as exc:  # a model, --rules or --out that cannot be used
         _fail(str(exc), code=2)
     except KeyboardInterrupt:
-        print("\nAborted!", file=sys.stderr)
+        _warn("\nAborted!")
         sys.exit(1)
     sys.exit(0)
 
@@ -227,7 +249,7 @@ def run() -> None:
     if code is None:
         code = 0
     elif not isinstance(code, int):
-        print(code, file=sys.stderr)
+        _warn(str(code))
         code = 1
     for stream in sys.stdout, sys.stderr:
         if stream is not None:  # None: its file descriptor was closed at start

@@ -137,23 +137,23 @@ class FuzzyRule(namedtuple("FuzzyRule", "id antecedent consequent")):
 
 
 class RuleBase(Frozen, namedtuple("RuleBase", "rules")):
-    """The rules, and a memo of the RDS of each ``(impact, cost, tech)``
-    triple that ``prioritize`` and ``relax_srl`` scored with them, so
-    inference runs once per distinct triple across goals and across both
-    calls.
+    """The rules, and a memo of the RDS, term, label and no-activation flag
+    of each ``(impact, cost, tech)`` triple that ``prioritize`` (and so
+    ``relax_srl``) scored with them, so inference and labelling run once per
+    distinct triple across goals and across both calls.
 
-    The memo is exact: a hit returns the same bits inference would. It
+    The memo is exact: a hit returns the same bits scoring afresh would. It
     lives as long as the ``RuleBase``, and it grows with the distinct
     triples scored under one ``VariableConfig``; scoring under another
-    config starts a fresh memo. An input outside its universe is never
-    stored, so it raises on every call.
+    config checks that config and starts a fresh memo. An input outside its
+    universe is never stored, so it raises on every call.
     """
 
     rules: tuple[FuzzyRule, ...]
 
     @cached_property
     def _scores(self) -> list[tuple[VariableConfig | None, dict]]:
-        """[(config, {triple: RDS, or None where no rule fired})]: the memo
+        """[(config, {triple: (rds, term, label, no_activation)})]: the memo
         of the config last scored with. Another config replaces the pair
         rather than clearing the dict, so a call still holding the old dict
         never sees another config's values."""

@@ -148,12 +148,12 @@ def build_srl(model: SecurityModel,
               goal: str) -> tuple[tuple[str, float], ...]:
     """(requirement, impact) for every requirement with positive impact on
     the goal, strongest first."""
-    if goal not in model.goal_ids():
+    if goal not in model._goals_by_id:
         raise KeyError(f"unknown goal {goal!r}")
     row = model.graph.impact_rows.get(goal, _NO_CELLS)
     # Requirements in natural id order, then a stable sort: strongest first,
     # ties in natural id order.
     entries = [(r.id, row[r.id])
-               for r in model.sorted_requirements() if r.id in row]
+               for r in model._sorted_requirements if r.id in row]
     entries.sort(key=lambda e: -e[1])
     return tuple(entries)

@@ -29,31 +29,32 @@ class PrioritizedEntry(namedtuple(
     no_activation: bool
 
 
-def _score(model: SecurityModel, risk: RiskProfile, goal: str,
-           config: VariableConfig, rulebase: RuleBase
-           ) -> list[tuple[str, float, float, float, float, bool]]:
-    """(requirement, impact, cost, tech, rds, no_activation) for every
-    requirement contributing to goal, highest RDS first, ties in natural
-    requirement id order: the one scoring loop of ``prioritize`` and
-    ``relax_srl``.
+def prioritize(model: SecurityModel, risk: RiskProfile, goal: str,
+               config: VariableConfig, rulebase: RuleBase) -> list[PrioritizedEntry]:
+    """RDS and linguistic priority for every requirement contributing to goal,
+    highest RDS first, ties in natural requirement id order.
 
-    Each distinct ``(impact, cost, tech)`` triple runs ``fuzzify``,
-    ``infer`` and ``defuzzify_cog`` once per rule base and config (see
-    ``RuleBase``), looked up here so that wrappers installed in this module
-    see them. An input outside its universe is never stored, so it raises
-    on every call. A requirement with no cost or no technical ability value
-    raises ``ValueError`` naming it, in ``validate_model``'s words.
+    Requirements with zero impact on the goal are absent. If no rule fires
+    for an entry the RDS falls back to the centroid of the weakest output
+    term and the entry is flagged rather than dropped. The inputs bind to
+    the rule base's variables by name, not by declaration order. A
+    requirement with no cost or no technical ability value raises
+    ``ValueError`` naming it, in ``validate_model``'s words.
+
+    Each distinct ``(impact, cost, tech)`` triple is scored once per rule
+    base and config (see ``RuleBase``) by ``fuzzify``, ``infer``,
+    ``defuzzify_cog`` and ``label``, looked up here so that wrappers
+    installed in this module see them.
     """
-    check_inputs(config)
     output = config.output
     held = rulebase._scores
     memo_config, memo = held[0]
     if memo_config is not config:
+        check_inputs(config)  # a config that fails never gets a memo
         memo = {}
         held[0] = (config, memo)
     costs, techs = risk.cost, risk.technical_ability
-    fallback = None
-    scored = []
+    entries: list[PrioritizedEntry] = []
     for req_id, impact_value in build_srl(model, goal):
         try:
             cost = costs[req_id]
@@ -62,8 +63,8 @@ def _score(model: SecurityModel, risk: RiskProfile, goal: str,
             name = "technical ability" if req_id in costs else "cost"
             raise ValueError(f"requirement {req_id}: no {name} value") from None
         triple = (impact_value, cost, tech)  # -0.0 and 0.0 fuzzify alike
-        rds = memo.get(triple, memo)  # the memo itself stands for a miss
-        if rds is memo:
+        score = memo.get(triple)
+        if score is None:
             try:
                 fuzzified = fuzzify(config, {"impact": impact_value,
                                              "cost": cost, "tech": tech})
@@ -71,40 +72,19 @@ def _score(model: SecurityModel, risk: RiskProfile, goal: str,
                 raise UniverseError(f"requirement {req_id}: {exc}") from exc
             try:
                 rds = defuzzify_cog(output, infer(rulebase, fuzzified))
+                no_activation = False
             except NoActivationError:
-                rds = None
-            memo[triple] = rds
-        if rds is None:
-            if fallback is None:
                 # the lowest term centroid, from the table that label reads
-                fallback = min(cog for _, _, cog in output._ranked_terms)
-            scored.append((req_id, impact_value, cost, tech, fallback, True))
-        else:
-            scored.append((req_id, impact_value, cost, tech, rds, False))
+                rds = min(cog for _, _, cog in output._ranked_terms)
+                no_activation = True
+            term = label(output, rds)
+            score = memo[triple] = (rds, term, short_label(term), no_activation)
+        entries.append(PrioritizedEntry(goal, req_id, impact_value, cost, tech,
+                                        *score))
     # ids of equal natural key (R1, R01) share a rank, so this stable sort
     # orders ties as a sort on natural_key would.
     rank = model._requirement_ranks
-    scored.sort(key=lambda s: (-s[4], rank[s[0]]))
-    return scored
-
-
-def prioritize(model: SecurityModel, risk: RiskProfile, goal: str,
-               config: VariableConfig, rulebase: RuleBase) -> list[PrioritizedEntry]:
-    """RDS and linguistic priority for every requirement contributing to goal.
-
-    Requirements with zero impact on the goal are absent. If no rule fires
-    for an entry the RDS falls back to the centroid of the weakest output
-    term and the entry is flagged rather than dropped. The inputs bind to
-    the rule base's variables by name, not by declaration order.
-    """
-    output = config.output
-    entries: list[PrioritizedEntry] = []
-    for req_id, impact_value, cost, tech, rds, no_activation in _score(
-            model, risk, goal, config, rulebase):
-        term = label(output, rds)
-        entries.append(PrioritizedEntry(
-            goal, req_id, impact_value, cost, tech, rds, term,
-            short_label(term), no_activation))
+    entries.sort(key=lambda e: (-e.rds, rank[e.requirement]))
     return entries
 
 

@@ -13,8 +13,7 @@ from collections import namedtuple
 from . import render
 from .fuzzy import RuleBase, VariableConfig
 from .model import Requirement, RiskProfile, SecurityModel
-# ``prioritize`` is imported for bench/tracing.py, which wraps it here.
-from .pipeline import _score, prioritize  # noqa: F401
+from .pipeline import prioritize
 from .srm import format_number
 
 DEFAULT_CONNECTOR = "as close as possible to"
@@ -63,11 +62,9 @@ def relax_requirement(req: Requirement, rds: float) -> RelaxedStatement:
 
 def relax_srl(model: SecurityModel, risk: RiskProfile, goal: str,
               config: VariableConfig, rulebase: RuleBase) -> list[RelaxedStatement]:
-    """One relaxed statement per requirement, in ``prioritize`` order; no
-    label is computed."""
-    return [relax_requirement(model.requirement(req_id), rds)
-            for req_id, _, _, _, rds, _ in _score(model, risk, goal, config,
-                                                  rulebase)]
+    """One relaxed statement per ``prioritize`` entry, in its order."""
+    return [relax_requirement(model.requirement(e.requirement), e.rds)
+            for e in prioritize(model, risk, goal, config, rulebase)]
 
 
 def relax_text(statements: list[RelaxedStatement]) -> str:

@@ -442,6 +442,20 @@ def _close_stdout():
     os.close(1)  # as ``paps ... >&-`` starts it: sys.stdout is None
 
 
+def _close_stderr():
+    os.close(2)  # as ``paps ... 2>&-`` starts it: sys.stderr is None
+
+
+def _placed(args: list[str], obs_path: str, tmp_path) -> list[str]:
+    """``args`` with MODEL, CYCLIC and MISSING replaced by the OBS model, a
+    cyclic variant of it and a path that does not exist."""
+    cyclic = tmp_path / "cyclic.srm"
+    cyclic.write_text(bench_gen.obs_cyclic_variant(0), encoding="utf-8")
+    where = {"MODEL": obs_path, "CYCLIC": str(cyclic),
+             "MISSING": str(tmp_path / "missing")}
+    return [where.get(arg, arg) for arg in args]
+
+
 class TestProcess:
     """``python -m paps.cli`` ends through ``run``: the same bytes and exit
     codes as ``main`` in-process, with no interpreter teardown."""
@@ -454,11 +468,7 @@ class TestProcess:
     ])
     def test_exit_code_and_streams_match_in_process(self, obs_path, tmp_path,
                                                     args, code):
-        cyclic = tmp_path / "cyclic.srm"
-        cyclic.write_text(bench_gen.obs_cyclic_variant(0), encoding="utf-8")
-        where = {"MODEL": obs_path, "CYCLIC": str(cyclic),
-                 "MISSING": str(tmp_path / "missing")}
-        args = [where.get(arg, arg) for arg in args]
+        args = _placed(args, obs_path, tmp_path)
         process = _run_module(*args, capture_output=True, text=True)
         in_process = invoke(args)
         assert in_process.exit_code == code
@@ -476,13 +486,31 @@ class TestProcess:
         assert len(process.stdout) > 65536  # a Linux pipe buffer
         assert process.stdout == invoke(args).stdout.encode()
 
-    @pytest.mark.parametrize("command", ["validate", "impacts"])
+    @pytest.mark.parametrize("args", [
+        pytest.param(["validate", "MODEL"], id="validate"),
+        pytest.param(["impacts", "MODEL"], id="impacts"),
+        pytest.param(["--version"], id="version"),
+        pytest.param(["--help"], id="help"),
+        pytest.param(["relax", "--help"], id="command-help"),
+    ])
     def test_closed_stdout_descriptor_exits_one_quietly(self, obs_path,
-                                                        command):
-        result = _run_module(command, obs_path, preexec_fn=_close_stdout,
-                             stderr=subprocess.PIPE)
+                                                        tmp_path, args):
+        result = _run_module(*_placed(args, obs_path, tmp_path),
+                             preexec_fn=_close_stdout, stderr=subprocess.PIPE)
         assert result.returncode == 1
         assert result.stderr == b""
+
+    @pytest.mark.parametrize("args,code", [
+        pytest.param(["impacts", "MISSING"], 2, id="missing-model"),
+        pytest.param(["impacts", "CYCLIC"], 1, id="cycle"),
+        pytest.param(["impacts", "MODEL", "--bogus"], 2, id="usage"),
+    ])
+    def test_closed_stderr_descriptor_keeps_errors_off_stdout(
+            self, obs_path, tmp_path, args, code):
+        result = _run_module(*_placed(args, obs_path, tmp_path),
+                             preexec_fn=_close_stderr, stdout=subprocess.PIPE)
+        assert result.returncode == code
+        assert result.stdout == b""
 
     def test_out_needs_no_stdout_descriptor(self, obs_path, tmp_path):
         target = tmp_path / "f.csv"

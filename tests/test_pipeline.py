@@ -123,8 +123,9 @@ STAGES = ("fuzzify", "infer", "defuzzify_cog", "label")
 
 
 def count_stage_calls(monkeypatch) -> Counter:
-    """Wrap each fuzzy stage under its paps.pipeline name, where the scoring
-    loop looks it up, and count the calls from then on."""
+    """Wrap each fuzzy stage and the config check under its paps.pipeline
+    name, where the scoring loop looks it up, and count the calls from then
+    on."""
     import paps.pipeline as pipeline
     calls = Counter()
 
@@ -134,7 +135,7 @@ def count_stage_calls(monkeypatch) -> Counter:
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in STAGES:
+    for name in (*STAGES, "check_inputs"):
         monkeypatch.setattr(pipeline, name,
                             counting(name, getattr(pipeline, name)))
     return calls
@@ -159,8 +160,9 @@ def _sweep(model, risk, config, rulebase) -> list:
 class TestStageCalls:
     """The scoring loop calls each fuzzy stage by its paps.pipeline name, so
     wrappers installed there see every inference. A rule base keeps a memo
-    of the triples it scored, so fuzzify, infer and defuzzify_cog run once
-    per distinct (impact, cost, tech) triple, and label once per entry."""
+    of the whole score of each triple it scored, so fuzzify, infer,
+    defuzzify_cog and label run once per distinct (impact, cost, tech)
+    triple, and a hit runs none of them."""
 
     def test_inference_runs_once_per_distinct_triple(self, obs, monkeypatch):
         model, risk = obs
@@ -173,9 +175,9 @@ class TestStageCalls:
         entries = [e for goal_entries in expected for e in goal_entries]
         triples = {(e.impact, e.cost, e.tech) for e in entries}
         assert len(triples) < len(entries)  # triples repeat across goals
-        assert calls == {"fuzzify": len(triples), "infer": len(triples),
-                         "defuzzify_cog": len(triples),
-                         "label": len(entries)}
+        # the config is checked once, when the rule base opens its memo
+        assert calls == {"check_inputs": 1,
+                         **{stage: len(triples) for stage in STAGES}}
 
     def test_a_second_call_runs_no_fuzzy_stage(self, obs, monkeypatch):
         model, risk = obs
@@ -183,8 +185,7 @@ class TestStageCalls:
         first = prioritize(model, risk, "S", config, rulebase)
         calls = count_stage_calls(monkeypatch)
         assert prioritize(model, risk, "S", config, rulebase) == first
-        assert calls == {"label": len(first)}
-        calls.clear()
+        assert calls == {}
         assert relax_srl(model, risk, "S", config, rulebase) == [
             relax_requirement(model.requirement(e.requirement), e.rds)
             for e in first]
@@ -335,9 +336,11 @@ class TestInputBinding:
                 (VariableConfig(config.inputs, wide),
                  "output variable priority has RANGE (0.0 .. 2.0), "
                  "not inside [0, 1]")]:
-            with pytest.raises(FclError) as exc:
-                prioritize(model, risk, "S", bad, rulebase)
-            assert str(exc.value) == f"line 1, column 1: {message}"
+            # a config that fails gets no memo, so every call checks it
+            for call in (prioritize, relax_srl, prioritize):
+                with pytest.raises(FclError) as exc:
+                    call(model, risk, "S", bad, rulebase)
+                assert str(exc.value) == f"line 1, column 1: {message}"
 
     def test_value_outside_a_universe_names_the_requirement(self, obs):
         model, risk = obs

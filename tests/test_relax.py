@@ -93,8 +93,8 @@ class TestRelaxSrl:
 
 
 class TestRelaxAgreesWithPrioritize:
-    """relax_srl scores without labels or entry records, and must still
-    give what relax_requirement over prioritize gives."""
+    """relax_srl reads prioritize, so it gives what relax_requirement over
+    prioritize's entries gives, also where no rule fires."""
 
     @pytest.mark.parametrize("gaps", [False, True],
                              ids=["default-rules", "rules-with-gaps"])
