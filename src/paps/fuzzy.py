@@ -8,6 +8,7 @@ rather than by sampling; results are exact and platform independent.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from collections.abc import Mapping
 from functools import cached_property
@@ -40,25 +41,18 @@ class TrapezoidMF(namedtuple("TrapezoidMF", "x0 x1 x2 x3")):
 
 
 def mf_eval(mf: TrapezoidMF, x: float) -> float:
-    """max(min((x-x0)/(x1-x0), 1, (x3-x)/(x3-x2)), 0) with shoulder rules.
-
-    The comparisons below are the ones the builtin ``min``/``max`` make,
-    in the same order, so the result is theirs without the call overhead.
-    """
+    """max(0.0, min(left, 1.0, right)) with shoulder rules, left and right
+    being the rising and falling sides; max(0.0, -0.0) is +0.0, not -0.0."""
     x0, x1, x2, x3 = mf
     if x1 > x0:
-        degree = (x - x0) / (x1 - x0)
+        left = (x - x0) / (x1 - x0)
     else:
-        degree = 1.0 if x >= x1 else 0.0
-    if 1.0 < degree:
-        degree = 1.0
+        left = 1.0 if x >= x1 else 0.0
     if x3 > x2:
         right = (x3 - x) / (x3 - x2)
     else:
         right = 1.0 if x <= x2 else 0.0
-    if right < degree:
-        degree = right
-    return degree if degree > 0.0 else 0.0
+    return max(0.0, min(left, 1.0, right))
 
 
 class LinguisticVariable(Frozen, namedtuple(
@@ -95,14 +89,8 @@ class LinguisticVariable(Frozen, namedtuple(
         NoActivationError."""
         return _piecewise_cog([(1.0, self.term(name))], self.universe)
 
-    # Lookup tables, built on first use and kept in the instance __dict__
-    # (cached_property writes there directly, past ``Frozen``, and the
-    # __dict__ never enters __eq__ or __hash__).
-
-    @cached_property
-    def _atoms(self) -> tuple[tuple[tuple[str, str], TrapezoidMF], ...]:
-        """((variable, term), mf) for every term: the keys fuzzify writes."""
-        return tuple(((self.name, term), mf) for term, mf in self.terms)
+    # A table built on first use and kept in the instance __dict__, which
+    # cached_property writes past ``Frozen`` and __eq__/__hash__ never read.
 
     @cached_property
     def _ranked_terms(self) -> tuple[tuple[str, TrapezoidMF, float], ...]:
@@ -147,6 +135,9 @@ class RuleBase(Frozen, namedtuple("RuleBase", "rules")):
     triples scored under one ``VariableConfig``; scoring under another
     config checks that config and starts a fresh memo. An input outside its
     universe is never stored, so it raises on every call.
+
+    ``infer`` scores every rule in declaration order; the memo is what keeps
+    that cheap, as it runs once per distinct triple.
     """
 
     rules: tuple[FuzzyRule, ...]
@@ -159,40 +150,19 @@ class RuleBase(Frozen, namedtuple("RuleBase", "rules")):
         never sees another config's values."""
         return [(None, {})]
 
-    # Dispatch tables for infer, built on first use like LinguisticVariable's.
-
-    @cached_property
-    def _atom_masks(self) -> tuple[tuple[tuple[str, str], int], ...]:
-        """(atom, bit set of the rules whose antecedent names it); rule i is
-        bit 1 << i."""
-        masks: dict[tuple[str, str], int] = {}
-        for i, rule in enumerate(self.rules):
-            for atom in rule.antecedent:
-                masks[atom] = masks.get(atom, 0) | 1 << i
-        return tuple(masks.items())
-
-    @cached_property
-    def _by_bit(self) -> dict[int, tuple[tuple[tuple[str, str], ...], str]]:
-        """Rule bit -> (antecedent, output term)."""
-        return {1 << i: (rule.antecedent, rule.consequent[1])
-                for i, rule in enumerate(self.rules)}
-
 
 def fuzzify(config: VariableConfig,
             inputs: Mapping[str, float]) -> dict[tuple[str, str], float]:
     """Membership degree of every (input variable, term) at the crisp inputs."""
-    by_name = config._inputs_by_name
     degrees: dict[tuple[str, str], float] = {}
     for name, x in inputs.items():
-        var = by_name.get(name)
-        if var is None:
-            raise KeyError(f"unknown input variable {name!r}")
+        var = config.input(name)
         lo, hi = var.universe
         if not lo <= x <= hi:
             raise UniverseError(
                 f"{name}={x} outside universe [{lo}, {hi}]")
-        for atom, mf in var._atoms:
-            degrees[atom] = mf_eval(mf, x)
+        for term, mf in var.terms:
+            degrees[(name, term)] = mf_eval(mf, x)
     return degrees
 
 
@@ -201,23 +171,13 @@ def infer(rulebase: RuleBase,
     """Each output term's activation: the max over its rules of the min of
     the rule's atom degrees (a missing atom has degree 0).
 
-    Only rules whose atoms all have a degree > 0 are scored. Any other rule
-    has strength <= 0, and that never raises an activation, so skipping it
-    changes nothing. The scored rules run in declaration order, so the
-    activations keep their insertion order.
+    The rules run in declaration order, so the activations keep their
+    insertion order; a rule that never beats 0 adds no key.
     """
-    get = fuzzified.get
-    firing = (1 << len(rulebase.rules)) - 1
-    for atom, mask in rulebase._atom_masks:
-        if not get(atom, 0.0) > 0.0:
-            firing &= ~mask
-    by_bit = rulebase._by_bit
     activations: dict[str, float] = {}
-    while firing:
-        bit = firing & -firing
-        firing ^= bit
-        antecedent, term = by_bit[bit]
-        strength = min(map(get, antecedent))
+    for rule in rulebase.rules:
+        strength = min(fuzzified.get(atom, 0.0) for atom in rule.antecedent)
+        _, term = rule.consequent
         if strength > activations.get(term, 0.0):
             activations[term] = strength
     return activations
@@ -351,17 +311,12 @@ def label(variable: LinguisticVariable, crisp: float) -> str:
     lo, hi = variable.universe
     if not lo <= crisp <= hi:
         raise ValueError(f"{crisp} outside universe [{lo}, {hi}]")
-    best_term = None
-    best_degree = best_cog = -1.0
-    for term, mf, cog in variable._ranked_terms:
-        degree = mf_eval(mf, crisp)
-        # (degree, cog) > (best_degree, best_cog), without the tuples
-        if degree > best_degree or (degree == best_degree and cog > best_cog):
-            best_degree, best_cog = degree, cog
-            best_term = term
-    return best_term
+    term, _, _ = max(variable._ranked_terms,  # the first of equal keys
+                     key=lambda ranked: (mf_eval(ranked[1], crisp), ranked[2]))
+    return term
 
 
 def short_label(term: str) -> str:
-    """Single-letter form of an output term name (strong -> S)."""
-    return term[:1].upper()
+    """Single-letter form of an output term name (strong -> S), interned, so
+    every label of one term is the same string object."""
+    return sys.intern(term[:1].upper())

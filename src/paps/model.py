@@ -258,7 +258,7 @@ def adjacency(model: SecurityModel) -> dict[str, tuple[tuple[str, float], ...]]:
 
 def technical_ability(complexity: float) -> float:
     """Ease-of-implementation score 1/complexity, for complexity >= 1."""
-    if complexity < 1.0:
+    if not complexity >= 1.0:  # NaN fails too
         raise ValueError(
             f"technical complexity must be >= 1, got {complexity}")
     return 1.0 / complexity

@@ -7,6 +7,7 @@ symbolic (OV_6) unless the model supplies a numeric ov attribute.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import namedtuple
 
@@ -89,14 +90,14 @@ class DeviationMembership(namedtuple("DeviationMembership", "half_width")):
     __slots__ = ()
 
     def __new__(cls, half_width: float):
-        if half_width <= 0:
+        if not half_width > 0:  # NaN fails too
             raise ValueError("half_width must be positive")
         return super().__new__(cls, half_width)
 
 
 def default_deviation(rds: float, ov: float) -> DeviationMembership:
     """Tolerance of a quarter of the relaxed target."""
-    if rds * ov <= 0:
+    if not rds * ov > 0:
         raise ValueError("rds and ov must be positive for the default width")
     return DeviationMembership(0.25 * rds * ov)
 
@@ -104,6 +105,10 @@ def default_deviation(rds: float, ov: float) -> DeviationMembership:
 def deviation_degree(dm: DeviationMembership, v: float,
                      rds: float, ov: float) -> float:
     """How acceptable the achieved value v is, given target rds x ov."""
-    if ov <= 0:
+    if not ov > 0:
         raise ValueError(f"ov must be positive, got {ov}")
+    if not 0.0 <= rds <= 1.0:
+        raise ValueError(f"rds {rds} outside [0, 1]")
+    if math.isnan(v):
+        raise ValueError(f"v must be a number, got {v}")
     return max(0.0, 1.0 - abs(v - rds * ov) / dm.half_width)

@@ -160,27 +160,39 @@ def format_number(value: float) -> str:
     return text if text else "0"
 
 
+def _exact_number(value: float) -> str:
+    """``format_number(value)`` where that parses back to ``value``, else
+    every digit ``repr`` needs, written out in full: ``NUMBER`` takes no
+    exponent."""
+    text = format_number(value)
+    if float(text) == value:
+        return text
+    from decimal import Decimal  # seldom needed, and slow to import
+    return f"{Decimal(repr(value)):f}"
+
+
 def serialize_model(model: SecurityModel, risk: RiskProfile) -> str:
     """Canonical form: goals, then requirements, then rules, sorted by id.
 
     The root goal is emitted first so the round-trip keeps the same root
-    (the parser takes the first goal as root).
+    (the parser takes the first goal as root), and every number parses
+    back to the same float.
     """
     lines: list[str] = []
     for goal in model.sorted_goals():
         lines.append(f'goal {goal.id} "{_escape(goal.description)}"')
     for req in model.sorted_requirements():
         parts = [f'req {req.id} "{_escape(req.description)}"',
-                 f"cost={format_number(risk.cost[req.id])}",
-                 f"tech={format_number(risk.technical_ability[req.id])}"]
+                 f"cost={_exact_number(risk.cost[req.id])}",
+                 f"tech={_exact_number(risk.technical_ability[req.id])}"]
         if req.metric is not None:
             parts.append(f'metric="{_escape(req.metric)}"')
         if req.connector is not None:
             parts.append(f'connector="{_escape(req.connector)}"')
         if req.ov is not None:
-            parts.append(f"ov={format_number(req.ov)}")
+            parts.append(f"ov={_exact_number(req.ov)}")
         lines.append(" ".join(parts))
     for rule in sorted(model.rules, key=lambda r: natural_key(r.id)):
         lines.append(f"rule {rule.id}: {rule.head} -> "
-                     f"{' '.join(rule.body)} @ {format_number(rule.degree)}")
+                     f"{' '.join(rule.body)} @ {_exact_number(rule.degree)}")
     return "\n".join(lines) + "\n"

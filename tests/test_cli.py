@@ -413,7 +413,7 @@ class TestCommandLineSurface:
         # what a run costs; on a clean interpreter (-S: no site hooks that
         # preload them) no command needs these at import.
         slow = ["dataclasses", "inspect", "importlib.resources", "json",
-                "typing"]
+                "typing", "decimal", "fractions"]
         src = Path(paps.__file__).resolve().parent.parent
         result = subprocess.run(
             [sys.executable, "-S", "-c", "import sys, paps.cli; print(["

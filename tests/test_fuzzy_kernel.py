@@ -1,9 +1,11 @@
-"""The compiled inference kernel against the straightforward one it replaced.
+"""The ``paps.fuzzy`` kernel against the straightforward code it grew from.
 
 The ``_ref_*`` functions are the earlier ``paps.fuzzy`` code, copied
 verbatim except for dropped annotations and calls that go to each other
 (``mf(x)`` is ``_ref_mf_eval``, ``term_centroid`` is ``_ref_term_cog``), so
-nothing here reads the lookup tables under test. Three more departures
+no reference calls the code under test. ``mf_eval``, ``fuzzify``, ``infer``
+and ``label`` are that same code again; the comparisons stay so that a
+later re-optimisation of them cannot drift from it. Three departures
 follow API changes made since: ``_ref_fuzzify`` tests ``lo <= x <= hi``
 itself where it called ``var.contains(x)``; ``_ref_infer`` takes no
 variable config and returns the activations dict, not an output wrapper;
@@ -16,14 +18,15 @@ exact and keeps the moment from underflowing (activation 5e-324 on
 float bits, the same activation keys in the same order, the same labels,
 and the same exceptions.
 
-One exception: the reference integrates a vertical edge inside the
-universe (a clipped term that starts or ends above 0 there, as a shoulder
-does) as a ramp from the cut before it, which is wrong. So its centroids
-are compared only on aggregates without such an edge, and its labels only
-for output variables whose terms have none. Everywhere, the kernel's
-centroid is also compared with ``oracle.exact_cog``, the same integral over
-``fractions.Fraction``: to within a few units in the last place, or more
-where a steep piece makes the float evaluation cancel (``_error_bound``).
+One exception: the centroid still differs from the reference, which
+integrates a vertical edge inside the universe (a clipped term that starts
+or ends above 0 there, as a shoulder does) as a ramp from the cut before
+it, which is wrong. So its centroids are compared only on aggregates
+without such an edge, and its labels only for output variables whose terms
+have none. Everywhere, the kernel's centroid is also compared with
+``oracle.exact_cog``, the same integral over ``fractions.Fraction``: to
+within a few units in the last place, or more where a steep piece makes the
+float evaluation cancel (``_error_bound``).
 """
 
 import math

@@ -294,6 +294,11 @@ class TestTechnicalAbility:
         with pytest.raises(ValueError):
             technical_ability(0.5)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError,
+                           match="technical complexity must be >= 1, got nan"):
+            technical_ability(float("nan"))
+
     def test_strictly_decreasing(self):
         rng = random.Random(7)
         values = sorted(rng.uniform(1.0, 50.0) for _ in range(200))

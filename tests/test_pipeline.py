@@ -246,6 +246,18 @@ class TestScoreMemo:
         for c in (config, other, config, other):
             assert _sweep(model, risk, c, rulebase) == expected[c]
 
+    def test_entries_of_one_term_share_one_label(self, obs):
+        model, risk = obs
+        config, rulebase = paps.load_default_rulebase()
+        entries = [e for goal in GOAL_IDS
+                   for e in prioritize(model, risk, goal, config, rulebase)]
+        labels, triples = {}, {}
+        for e in entries:
+            assert labels.setdefault(e.term, e.label) is e.label
+            triples.setdefault(e.term, set()).add((e.impact, e.cost, e.tech))
+        # each of those labels was stored by a miss of its own
+        assert max(len(t) for t in triples.values()) > 1
+
     def test_a_changed_cost_is_scored_again(self, obs):
         model, risk = obs
         config, rulebase = paps.load_default_rulebase()

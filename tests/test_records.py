@@ -107,8 +107,11 @@ def test_repr_names_the_fields():
      "term v.a lies outside the universe"),
     (lambda: DeviationMembership(0.0), ValueError,
      "half_width must be positive"),
+    (lambda: DeviationMembership(float("nan")), ValueError,
+     "half_width must be positive"),
 ], ids=["trapezoid", "trapezoid-keywords", "empty-universe", "no-terms",
-        "duplicate-term", "term-outside", "deviation-width"])
+        "duplicate-term", "term-outside", "deviation-width",
+        "deviation-width-nan"])
 def test_constructor_checks_raise_from_library_code(build, error, message):
     with pytest.raises(error, match=message) as exc:
         build()

@@ -172,6 +172,19 @@ class TestDeviationDegree:
         with pytest.raises(ValueError):
             DeviationMembership(0.0)
 
+    def test_nan_default_width_rejected(self):
+        with pytest.raises(ValueError, match="rds and ov must be positive"):
+            default_deviation(float("nan"), 10.0)
+
+    @pytest.mark.parametrize("v, rds, ov, message", [
+        (float("nan"), 0.36, 100.0, "v must be a number, got nan"),
+        (36.0, float("nan"), 100.0, r"rds nan outside \[0, 1\]"),
+        (36.0, 0.36, float("nan"), "ov must be positive, got nan"),
+    ], ids=["v", "rds", "ov"])
+    def test_nan_rejected(self, v, rds, ov, message):
+        with pytest.raises(ValueError, match=message):
+            deviation_degree(DeviationMembership(20.0), v, rds, ov)
+
     def test_default_width_is_quarter_of_target(self):
         dm = default_deviation(0.4, 100.0)
         assert dm.half_width == pytest.approx(10.0)

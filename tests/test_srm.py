@@ -1,9 +1,11 @@
 import random
+import re
 
 import pytest
 
 import paps
 from generators import NOT_LINE_BREAKS, random_valid_model
+from paps.source import NUMBER
 from paps.srm import SrmError, format_number, parse_model, serialize_model
 
 MINIMAL = (
@@ -290,6 +292,45 @@ class TestSerialize:
             assert model2 == model
             assert dict(risk2.cost) == dict(risk.cost)
             assert dict(risk2.technical_ability) == dict(risk.technical_ability)
+
+    def test_unrounded_values_round_trip(self):
+        # Every cost, tech, ov and degree comes back as the same float, also
+        # past 6 decimals and below 1e-6, written without an exponent.
+        rng = random.Random(20261019)
+        tiny = [5e-324, 1e-7, 2.0 ** -1022, 0.1 + 0.2, 1 - 2.0 ** -53]
+
+        def unit() -> float:
+            return rng.choice([rng.random(), *tiny])
+
+        def ov() -> float:
+            return rng.choice([rng.uniform(1, 500), 1e-7, 5e-324, 1e22 / 3])
+
+        for _ in range(60):
+            model, risk = random_valid_model(rng)
+            model = model._replace(
+                requirements=tuple(r if r.ov is None else r._replace(ov=ov())
+                                   for r in model.requirements),
+                rules=tuple(r._replace(degree=unit()) for r in model.rules))
+            risk = risk._replace(
+                cost={r: unit() for r in risk.cost},
+                technical_ability={r: unit() for r in risk.cost})
+            text = serialize_model(model, risk)
+            for number in re.findall(r"(?:cost=|tech=|ov=|@ )(\S+)", text):
+                assert re.fullmatch(NUMBER, number), number
+            model2, risk2 = parse_model(text)
+            assert model2 == model
+            assert dict(risk2.cost) == dict(risk.cost)
+            assert dict(risk2.technical_ability) == dict(risk.technical_ability)
+
+    def test_smallest_cost_and_ov_are_written_out(self):
+        text = serialize_model(*parse_model(
+            'goal S "s"\nreq R1 "r" cost=0.5 tech=0.5 metric="m" '
+            'ov=0.0000001\nrule P1: S -> R1 @ 1\n'))
+        assert " ov=0.0000001" in text
+        model, risk = parse_model(text.replace("cost=0.5",
+                                               f"cost=0.{'0' * 323}5"))
+        assert risk.cost["R1"] == 5e-324
+        assert parse_model(serialize_model(model, risk)) == (model, risk)
 
     @pytest.mark.parametrize("value,expected", [
         (0.95, "0.95"), (1.0, "1"), (0.123456, "0.123456"), (0.0, "0"),
