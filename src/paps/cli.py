@@ -16,7 +16,7 @@ import argparse
 import codecs
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 from . import __version__, default_rules_text
 from .fcl import parse_rulebase
@@ -68,14 +68,15 @@ def _check_valid(model, risk) -> None:
         sys.exit(1)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        if sys.stdout is None:  # file descriptor 1 was closed at start
-            raise BrokenPipeError
-        sys.stdout.write(text)
-    else:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write each chunk, as it comes, to stdout or to the file ``out``."""
+    if out is not None:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
+    elif sys.stdout is None:  # file descriptor 1 was closed at start
+        raise BrokenPipeError
+    else:
+        sys.stdout.writelines(chunks)
 
 
 def _validate(model_path: str) -> None:
@@ -88,7 +89,7 @@ def _validate(model_path: str) -> None:
                     if report.warnings else "")
         lines.append(f"ok: {len(model.goals)} goals, {len(model.requirements)}"
                      f" requirements, {len(model.rules)} rules{warnings}\n")
-    _emit("".join(lines), None)
+    _emit(lines, None)
     if not report.ok:
         sys.exit(1)
 
@@ -101,9 +102,9 @@ def _impacts(model_path: str, goal: str | None, fmt: str,
     matrix = impact_matrix(model)
     if goal is not None and goal not in matrix.goals:
         _fail(f"unknown goal {goal!r}")
-    render = {"json": matrix.to_json, "csv": matrix.to_csv,
-              "table": matrix.to_table}[fmt]
-    _emit(render(None if goal is None else [goal]), out)
+    chunks = {"json": matrix.json_blocks, "csv": matrix.csv_lines,
+              "table": matrix.table_lines}[fmt]
+    _emit(chunks(None if goal is None else [goal]), out)
 
 
 def _for_goal(model_path: str, goal: str | None, rules: str | None,
@@ -131,7 +132,7 @@ def _prioritize(model_path: str, goal: str | None, rules: str | None,
     entries = _for_goal(model_path, goal, rules, prioritize)
     render = {"json": report_json, "csv": report_csv,
               "table": report_table}[fmt]
-    _emit(render(entries), out)
+    _emit([render(entries)], out)
 
 
 def _relax(model_path: str, goal: str | None, rules: str | None,
@@ -139,7 +140,7 @@ def _relax(model_path: str, goal: str | None, rules: str | None,
     """Emit relaxed requirement statements for a goal (default: the root)."""
     statements = _for_goal(model_path, goal, rules, relax_srl)
     render = {"json": relax_json, "table": relax_text}[fmt]
-    _emit(render(statements), out)
+    _emit([render(statements)], out)
 
 
 # (option, metavar, help)

@@ -17,6 +17,9 @@ Line-oriented:
 AND-only conjunctions; no OR, NOT, or rule weights. The inputs must be
 exactly impact, cost and tech, and the output's RANGE must lie inside
 [0, 1]; the parser reports a breach at its VAR_INPUT or RANGE line.
+
+The line patterns compile on first use, when a command first parses a
+rule base, not when the module is imported.
 """
 
 from __future__ import annotations
@@ -35,19 +38,17 @@ class FclError(ParseError):
 
 _ID = r"[A-Za-z_][A-Za-z0-9_-]*"
 
-_VAR_RE = re.compile(rf"(VAR_INPUT|VAR_OUTPUT)\s+({_ID})\s*$")
-_RANGE_RE = re.compile(
-    rf"RANGE\s*:=\s*\(\s*({NUMBER})\s*\.\.\s*({NUMBER})\s*\)\s*;\s*$")
-_TERM_RE = re.compile(
-    rf"TERM\s+({_ID})\s*:=\s*\(\s*({NUMBER})\s*,\s*({NUMBER})\s*,"
-    rf"\s*({NUMBER})\s*,\s*({NUMBER})\s*\)\s*;\s*$")
+# Pattern texts for ``re.match``, which compiles each one on first use.
+_VAR = rf"(VAR_INPUT|VAR_OUTPUT)\s+({_ID})\s*$"
+_RANGE = rf"RANGE\s*:=\s*\(\s*({NUMBER})\s*\.\.\s*({NUMBER})\s*\)\s*;\s*$"
+_TERM = (rf"TERM\s+({_ID})\s*:=\s*\(\s*({NUMBER})\s*,\s*({NUMBER})\s*,"
+         rf"\s*({NUMBER})\s*,\s*({NUMBER})\s*\)\s*;\s*$")
 # Only the keywords ignore case: under a whole-pattern IGNORECASE the ASCII
 # class of _ID would also match non-ASCII letters that case-fold into it
 # (the long s, the dotless i, the Kelvin sign).
-_RULE_RE = re.compile(
-    rf"(?i:RULE)\s+({_ID}|[0-9]+)\s*:\s*(?i:IF)\s+(.+?)\s+(?i:THEN)\s+"
-    rf"({_ID})\s+(?i:IS)\s+({_ID})\s*;\s*$")
-_ATOM_RE = re.compile(rf"^({_ID})\s+(?i:IS)\s+({_ID})$")
+_RULE = (rf"(?i:RULE)\s+({_ID}|[0-9]+)\s*:\s*(?i:IF)\s+(.+?)\s+(?i:THEN)\s+"
+         rf"({_ID})\s+(?i:IS)\s+({_ID})\s*;\s*$")
+_ATOM = rf"^({_ID})\s+(?i:IS)\s+({_ID})$"
 
 
 INPUT_NAMES = ("impact", "cost", "tech")
@@ -82,7 +83,7 @@ def _read_var(kind: str, name: str, lines: Iterator[tuple[int, int, str]],
     for lineno, col, line in lines:
         if line == "END_VAR":
             break
-        m = _RANGE_RE.match(line)
+        m = re.match(_RANGE, line)
         if m:
             if var_range is not None:
                 raise FclError(lineno, col, "RANGE declared twice")
@@ -90,7 +91,7 @@ def _read_var(kind: str, name: str, lines: Iterator[tuple[int, int, str]],
                               for x in m.groups())
             range_at = (lineno, col)
             continue
-        m = _TERM_RE.match(line)
+        m = re.match(_TERM, line)
         if not m:
             raise FclError(lineno, col, "expected RANGE, TERM, or END_VAR")
         term = m.group(1)
@@ -140,7 +141,7 @@ def _read_rule(lineno: int, col: int, line: str,
                output: LinguisticVariable,
                rules: Mapping[str, FuzzyRule]) -> FuzzyRule:
     """The rule on a RULEBLOCK line; ``rules`` are those read before it."""
-    m = _RULE_RE.match(line)
+    m = re.match(_RULE, line)
     if not m:
         raise FclError(lineno, col, "expected RULE or END_RULEBLOCK")
     rule_id, antecedent_src, out_var, out_term = m.groups()
@@ -148,7 +149,7 @@ def _read_rule(lineno: int, col: int, line: str,
         raise FclError(lineno, col, f"duplicate rule id {rule_id}")
     atoms: list[tuple[str, str]] = []
     for part in re.split(r"\s+AND\s+", antecedent_src, flags=re.IGNORECASE):
-        am = _ATOM_RE.match(part.strip())
+        am = re.match(_ATOM, part.strip())
         if not am:
             raise FclError(lineno, col, f"malformed condition {part.strip()!r}")
         var, term = am.group(1), am.group(2)
@@ -175,7 +176,7 @@ def parse_rulebase(text: str) -> tuple[VariableConfig, RuleBase]:
     at: dict[str, tuple[int, int]] = {}  # for check_inputs
     rules: dict[str, FuzzyRule] = {}  # by id
     for lineno, col, line in lines:
-        m = _VAR_RE.match(line)
+        m = re.match(_VAR, line)
         if m:
             kind = "input" if m.group(1) == "VAR_INPUT" else "output"
             var, range_at = _read_var(kind, m.group(2), lines, eof, inputs,

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from functools import cache
-from itertools import chain
 from types import MappingProxyType
 
 from . import render
@@ -20,6 +18,20 @@ from . import render
 from .model import SecurityModel, adjacency  # noqa: F401
 
 _NO_CELLS: Mapping[str, float] = {}
+
+
+class _Texts(dict):
+    """value -> its text, made by ``make`` on the value's first use."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[float], str]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = self.make(value)
+        return text
 
 
 class ImpactMatrix(namedtuple("ImpactMatrix", "goals requirements rows")):
@@ -35,16 +47,16 @@ class ImpactMatrix(namedtuple("ImpactMatrix", "goals requirements rows")):
                 for r, v in self.rows.get(g, _NO_CELLS).items()}
 
     # The renderers below take an optional goal list (default: all goals)
-    # and format each distinct value once, through a ``functools.cache``
-    # made per call; a goal's line starts from a copy of the all-zero line
-    # and only its non-zero cells are filled in.
+    # and yield their text a line (csv, table) or a goal block (json) at a
+    # time; ``to_csv``, ``to_table`` and ``to_json`` join what they yield.
 
     def _lines(self, goals: Iterable[str], columns: tuple[str, ...],
-               blank: list[str], cell: Callable[[int, float], str],
+               blank: list[str], texts: list[_Texts],
                head: Callable[[str], str] | None = None
                ) -> Iterator[list[str]]:
-        """Each goal's cells, ``cell(i, value)`` in column i. With ``head``
-        a line starts with ``head(goal)``, and the columns count from 1."""
+        """Each goal's cells: a copy of ``blank`` in which the non-zero cell
+        of column i reads ``texts[i][value]``. With ``head`` a line starts
+        with ``head(goal)``, and the columns count from 1."""
         start = 0 if head is None else 1
         index: dict[str, int] = {}
         repeats = []  # (column, earlier column with the same id)
@@ -54,51 +66,94 @@ class ImpactMatrix(namedtuple("ImpactMatrix", "goals requirements rows")):
             else:
                 index[r] = i
         line = blank if head is None else ["", *blank]
+        texts = texts if head is None else [None, *texts]
         for g in goals:
             cells = line.copy()
             if head is not None:
                 cells[0] = head(g)
             for r, v in self.rows.get(g, _NO_CELLS).items():
                 i = index[r]
-                cells[i] = cell(i, v)
+                cells[i] = texts[i][v]
             for i, j in repeats:
                 cells[i] = cells[j]
             yield cells
 
-    def to_csv(self, goals: Iterable[str] | None = None) -> str:
-        text = cache("{:.2f}".format)
-        return render.csv(["goal", *self.requirements], self._lines(
-            self.goals if goals is None else goals, self.requirements,
-            [text(0.0)] * len(self.requirements), lambda i, v: text(v),
-            str))
+    def csv_lines(self, goals: Iterable[str] | None = None) -> Iterator[str]:
+        """Each line of ``to_csv``."""
+        columns = self.requirements
+        text = _Texts("{:.2f}".format)
+        yield ",".join(["goal", *columns]) + "\n"
+        for cells in self._lines(
+                self.goals if goals is None else goals, columns,
+                [text[0.0]] * len(columns), [text] * len(columns), str):
+            yield ",".join(cells) + "\n"
 
-    def to_table(self, goals: Iterable[str] | None = None) -> str:
-        """A ``render.table``, its columns sized to the shown goals."""
+    def table_lines(self, goals: Iterable[str] | None = None
+                    ) -> Iterator[str]:
+        """Each line of ``to_table``: a ``render.table``, its columns sized
+        to the shown goals before the first line."""
         goals = list(self.goals if goals is None else goals)
-        text = cache("{:.2f}".format)
-        zero = text(0.0)
-        # A column is as wide as its id, its shown cells and, when some
-        # shown goal has no cell in it, the zero text.
+        text = _Texts("{:.2f}".format)
+        zero = text[0.0]
+        # A column is as wide as its id and its shown cells, and as the zero
+        # text unless each shown goal has a cell there whose text is of
+        # another width ("12.50", "inf"): an odd cell. Only a row holding an
+        # odd value needs a look at each of its cells.
         shown = [self.rows.get(g, _NO_CELLS) for g in goals]
-        size = {v: len(text(v)) for v in set().union(
-            *(row.values() for row in shown))}
+        odd = {v: len(text[v]) for v in set().union(
+            *(row.values() for row in shown)) if len(text[v]) != len(zero)}
         width = {r: len(r) for r in self.requirements}
+        odd_cells = Counter()  # column -> shown goals with an odd cell there
         for row in shown:
+            if odd.keys().isdisjoint(row.values()):
+                continue
             for r, v in row.items():
-                if size[v] > width[r]:
-                    width[r] = size[v]
-        filled = Counter(chain.from_iterable(shown))
+                if v in odd:
+                    odd_cells[r] += 1
+                    width[r] = max(width[r], odd[v])
         for r in width:
-            if filled[r] < len(goals) and width[r] < len(zero):
-                width[r] = len(zero)
+            if odd_cells[r] < len(goals):
+                width[r] = max(width[r], len(zero))
         widths = [max([len("goal"), *map(len, goals)]),
                   *(width[r] for r in self.requirements)]
-        # Cells are padded as they are made: the blank line once, a
-        # non-zero cell when it is filled in.
-        return render.table(["goal", *self.requirements], self._lines(
-            goals, self.requirements, [zero.ljust(w) for w in widths[1:]],
-            lambda i, v: text(v).ljust(widths[i]),
-            lambda g: g.ljust(widths[0])), widths)
+        # Cells come padded: one text table per distinct column width.
+        padded = {w: _Texts(f"{{:<{w}.2f}}".format) for w in widths[1:]}
+        texts = [padded[w] for w in widths[1:]]
+        yield from render.table_lines(
+            ["goal", *self.requirements], self._lines(
+                goals, self.requirements, [t[0.0] for t in texts], texts,
+                lambda g: g.ljust(widths[0])), widths)
+
+    def json_blocks(self, goals: Iterable[str] | None = None
+                    ) -> Iterator[str]:
+        """Each goal's block of ``to_json``, its line break included, with
+        the opening and closing brace lines around them."""
+        import json  # here, not at module level: only json output needs it
+
+        dumps = json.dumps
+        goals = tuple(dict.fromkeys(self.goals if goals is None else goals))
+        if not goals:
+            yield "{}\n"
+            return
+        columns = tuple(dict.fromkeys(self.requirements))
+        # One text table per column, its "    \"R12\": " prefix applied to
+        # the value's text, which every column shares.
+        value = _Texts(dumps)
+        texts = [_Texts(lambda v, p=f"    {dumps(r)}: ": p + value[v])
+                 for r in columns]
+        last = goals[-1]
+        yield "{\n"
+        for g, cells in zip(goals, self._lines(
+                goals, columns, [t[0.0] for t in texts], texts)):
+            body = "{\n" + ",\n".join(cells) + "\n  }" if cells else "{}"
+            yield f"  {dumps(g)}: {body}{',' if g != last else ''}\n"
+        yield "}\n"
+
+    def to_csv(self, goals: Iterable[str] | None = None) -> str:
+        return "".join(self.csv_lines(goals))
+
+    def to_table(self, goals: Iterable[str] | None = None) -> str:
+        return "".join(self.table_lines(goals))
 
     def to_json(self, goals: Iterable[str] | None = None) -> str:
         """What ``json.dumps(matrix, indent=2) + "\\n"`` writes for the
@@ -106,23 +161,9 @@ class ImpactMatrix(namedtuple("ImpactMatrix", "goals requirements rows")):
 
         Written here rather than through ``render``: on a 500 x 1000
         matrix ``json.dumps`` of the whole dict takes 0.6-1.0 s, this
-        sparse writer 45-75 ms (CPython 3.11, 2-vCPU x86-64 host).
+        sparse writer 27-46 ms (CPython 3.11, 2-vCPU x86-64 host).
         """
-        import json  # here, not at module level: only json output needs it
-
-        goals = dict.fromkeys(self.goals if goals is None else goals)
-        columns = tuple(dict.fromkeys(self.requirements))
-        text = cache(json.dumps)
-        prefix = [f"    {json.dumps(r)}: " for r in columns]
-        blocks = []
-        for g, cells in zip(goals, self._lines(
-                goals, columns, [p + text(0.0) for p in prefix],
-                lambda i, v: prefix[i] + text(v))):
-            body = "{\n" + ",\n".join(cells) + "\n  }" if cells else "{}"
-            blocks.append(f"  {json.dumps(g)}: {body}")
-        if not blocks:
-            return "{}\n"
-        return "{\n" + ",\n".join(blocks) + "\n}\n"
+        return "".join(self.json_blocks(goals))
 
 
 def impact(model: SecurityModel, goal: str, requirement: str) -> float:

@@ -97,8 +97,12 @@ class DeviationMembership(namedtuple("DeviationMembership", "half_width")):
 
 def default_deviation(rds: float, ov: float) -> DeviationMembership:
     """Tolerance of a quarter of the relaxed target."""
-    if not rds * ov > 0:
+    if not (rds > 0 and ov > 0):  # NaN fails too
         raise ValueError("rds and ov must be positive for the default width")
+    if rds > 1.0:
+        raise ValueError(f"rds {rds} outside [0, 1]")
+    if math.isinf(ov):
+        raise ValueError(f"ov must be finite, got {ov}")
     return DeviationMembership(0.25 * rds * ov)
 
 
@@ -107,6 +111,8 @@ def deviation_degree(dm: DeviationMembership, v: float,
     """How acceptable the achieved value v is, given target rds x ov."""
     if not ov > 0:
         raise ValueError(f"ov must be positive, got {ov}")
+    if math.isinf(ov):
+        raise ValueError(f"ov must be finite, got {ov}")
     if not 0.0 <= rds <= 1.0:
         raise ValueError(f"rds {rds} outside [0, 1]")
     if math.isnan(v):

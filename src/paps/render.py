@@ -7,26 +7,28 @@ is the caller's choice. Ids and term names are ASCII by the ``.srm`` and
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 
-def table(header: Sequence[str], rows: Iterable[Sequence[str]],
-          widths: Sequence[int] | None = None) -> str:
-    """Columns two spaces apart, a dash rule under the header, trailing
-    blanks stripped.
+def table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """Columns two spaces apart, each as wide as its widest cell, a dash
+    rule under the header, trailing blanks stripped."""
+    rows = list(rows)
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    return "".join(table_lines(
+        header, ([c.ljust(w) for c, w in zip(row, widths)] for row in rows),
+        widths))
 
-    Without ``widths`` each column is as wide as its widest cell. With
-    ``widths`` the row cells must already be padded to them; only the
-    header is padded here.
-    """
-    if widths is None:
-        rows = list(rows)
-        widths = [max(map(len, column)) for column in zip(header, *rows)]
-        rows = ([c.ljust(w) for c, w in zip(row, widths)] for row in rows)
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip(),
-             "  ".join("-" * w for w in widths)]
-    lines.extend("  ".join(row).rstrip() for row in rows)
-    return "\n".join(lines) + "\n"
+
+def table_lines(header: Sequence[str], rows: Iterable[Sequence[str]],
+                widths: Sequence[int]) -> Iterator[str]:
+    """Each line of a table whose row cells are already padded to
+    ``widths``, its line break included, made as ``rows`` yields; only the
+    header is padded here."""
+    yield "  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n"
+    yield "  ".join("-" * w for w in widths) + "\n"
+    for row in rows:
+        yield "  ".join(row).rstrip() + "\n"
 
 
 def csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:

@@ -26,7 +26,9 @@ class SrmError(ParseError):
 
 
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
-_STR = r'"((?:[^"\\]|\\.)*)"'
+# A quoted string: runs of plain characters between escapes, so the engine
+# never weighs two alternatives at one character.
+_STR = r'"([^"\\]*(?:\\.[^"\\]*)*)"'
 
 # keyword -> (line pattern, expected form named in the malformed-line error)
 _LINES = {
@@ -47,6 +49,8 @@ _ATTRS = {"cost": "numeric", "tech": "numeric", "ov": "numeric",
 
 
 def _unescape(text: str) -> str:
+    if "\\" not in text:
+        return text
     return text.replace('\\"', '"').replace("\\\\", "\\")
 
 

@@ -456,6 +456,15 @@ def _placed(args: list[str], obs_path: str, tmp_path) -> list[str]:
     return [where.get(arg, arg) for arg in args]
 
 
+def _layered(tmp_path) -> str:
+    """The path of a seeded 60-goal x 120-requirement layered model, whose
+    json impact matrix is larger than a pipe buffer."""
+    path = tmp_path / "layered.srm"
+    path.write_text(bench_gen.layered_model(3, 60, 120, layers=4).text,
+                    encoding="utf-8")
+    return str(path)
+
+
 class TestProcess:
     """``python -m paps.cli`` ends through ``run``: the same bytes and exit
     codes as ``main`` in-process, with no interpreter teardown."""
@@ -477,14 +486,41 @@ class TestProcess:
 
     def test_output_larger_than_a_pipe_buffer_is_written_whole(self,
                                                                tmp_path):
-        path = tmp_path / "layered.srm"
-        path.write_text(bench_gen.layered_model(3, 60, 120, layers=4).text,
-                        encoding="utf-8")
-        args = ["impacts", str(path), "--format", "json"]
+        args = ["impacts", _layered(tmp_path), "--format", "json"]
         process = _run_module(*args, capture_output=True)
         assert process.returncode == 0, process.stderr
         assert len(process.stdout) > 65536  # a Linux pipe buffer
         assert process.stdout == invoke(args).stdout.encode()
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""],
+                             ids=["unbuffered", "buffered"])
+    def test_reader_closing_mid_stream_exits_one_quietly(self, tmp_path,
+                                                         unbuffered):
+        # The output is larger than a pipe buffer, so paps is still writing
+        # goal blocks when its reader goes; unbuffered, each block is its
+        # own write.
+        src = Path(paps.__file__).resolve().parent.parent
+        process = subprocess.Popen(
+            [sys.executable, "-m", "paps.cli", "impacts", _layered(tmp_path),
+             "--format", "json"], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=dict(
+                os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered))
+        assert os.read(process.stdout.fileno(), 4096).startswith(b"{\n")
+        process.stdout.close()
+        stderr = process.stderr.read()
+        process.stderr.close()
+        assert process.wait(timeout=60) == 1
+        assert stderr == b""
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_out_file_equals_stdout(self, tmp_path, fmt):
+        args = ["impacts", _layered(tmp_path), "--format", fmt]
+        target = tmp_path / f"out.{fmt}"
+        printed = _run_module(*args, capture_output=True)
+        written = _run_module(*args, "--out", str(target), capture_output=True)
+        assert (printed.returncode, written.returncode) == (0, 0)
+        assert (printed.stderr, written.stdout, written.stderr) == (b"",) * 3
+        assert target.read_bytes() == printed.stdout
 
     @pytest.mark.parametrize("args", [
         pytest.param(["validate", "MODEL"], id="validate"),

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -194,3 +195,9 @@ class TestParseRulebase:
             parse_rulebase(bad)
         assert (exc.value.line, exc.value.column) == (line, 5)
         assert exc.value.message == message
+
+    def test_patterns_are_not_compiled_at_import(self):
+        # The line patterns stay text until a rule base is parsed, so the
+        # commands that parse no rules never compile them.
+        assert not [name for name, value in vars(paps.fcl).items()
+                    if isinstance(value, re.Pattern)]

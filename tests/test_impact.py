@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -226,8 +227,11 @@ class TestProperties:
             assert value <= in_max.get(r, 0.0) + 1e-12
 
 
+UNIT_DEGREES = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
 @st.composite
-def messy_dags(draw):
+def messy_dags(draw, degrees=UNIT_DEGREES):
     """Small DAGs with duplicate edges, zero degrees and undeclared nodes.
 
     Undeclared ids (X...) appear as children and as heads of further rules;
@@ -237,7 +241,6 @@ def messy_dags(draw):
     reqs = [f"R{i}" for i in range(draw(st.integers(0, 5)))]
     inner = draw(st.permutations(
         goals + [f"X{i}" for i in range(draw(st.integers(0, 3)))]))
-    degrees = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
     rules = []
     for i, head in enumerate(inner):
         targets = inner[i + 1:] + reqs + ["X9"]
@@ -300,6 +303,29 @@ class TestSinglePass:
             assert matrix.to_json(subset) == _json_reference(matrix, shown)
             assert matrix.to_csv(subset) == _csv_reference(matrix, shown)
             assert matrix.to_table(subset) == _table_reference(matrix, shown)
+            # The generators yield the same text a line or a goal block at
+            # a time.
+            csv = list(matrix.csv_lines(subset))
+            table = list(matrix.table_lines(subset))
+            blocks = list(matrix.json_blocks(subset))
+            assert "".join(csv) == _csv_reference(matrix, shown)
+            assert "".join(table) == _table_reference(matrix, shown)
+            assert "".join(blocks) == _json_reference(matrix, shown)
+            assert len(csv) == 1 + len(shown)
+            assert len(table) == 2 + len(shown)
+            for line in csv + table:
+                assert line.endswith("\n") and line.count("\n") == 1
+            distinct = list(dict.fromkeys(shown))
+            if not distinct:
+                assert blocks == ["{}\n"]
+                continue
+            assert (blocks[0], blocks[-1]) == ("{\n", "}\n")
+            assert len(blocks) == 2 + len(distinct)
+            for g, block in zip(distinct, blocks[1:-1]):
+                assert block.startswith(f"  {json.dumps(g)}: ")
+                assert json.loads("{" + block.rstrip(",\n") + "}") == {
+                    g: {r: matrix.rows.get(g, {}).get(r, 0.0)
+                        for r in matrix.requirements}}
 
     def test_json_matches_json_dumps(self, obs):
         model, _ = obs
@@ -320,6 +346,18 @@ class TestSinglePass:
         assert matrix.to_json() == _json_reference(matrix, matrix.goals)
         assert matrix.to_table() == _table_reference(matrix, matrix.goals)
         assert matrix.to_csv() == _csv_reference(matrix, matrix.goals)
+
+    @settings(max_examples=200, deadline=None)
+    @given(messy_dags(st.sampled_from([0.5, 1.0, 12.5, 100.0, math.inf])),
+           st.data())
+    def test_table_widths_with_cells_of_other_widths(self, model, data):
+        # Library-built models may hold degrees whose text is wider
+        # ("12.50") or narrower ("inf") than the zero text.
+        matrix = impact_matrix(model)
+        goals = data.draw(st.lists(st.sampled_from(matrix.goals), max_size=4))
+        for subset in (None, goals):
+            shown = matrix.goals if subset is None else subset
+            assert matrix.to_table(subset) == _table_reference(matrix, shown)
 
     @pytest.mark.parametrize("goals", [["S"], ["G1"], ["G1", "S"], []])
     def test_table_widths_follow_the_shown_goals(self, goals):

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -184,6 +185,24 @@ class TestDeviationDegree:
     def test_nan_rejected(self, v, rds, ov, message):
         with pytest.raises(ValueError, match=message):
             deviation_degree(DeviationMembership(20.0), v, rds, ov)
+
+    @pytest.mark.parametrize("rds, ov", [
+        (-0.4, -100.0), (-0.4, 100.0), (0.4, -100.0), (0.0, 100.0),
+        (0.4, 0.0), (0.4, float("-inf")),
+    ])
+    def test_default_width_needs_each_argument_positive(self, rds, ov):
+        with pytest.raises(ValueError, match="rds and ov must be positive"):
+            default_deviation(rds, ov)
+
+    def test_default_width_rds_above_one_rejected(self):
+        with pytest.raises(ValueError, match=r"rds 1.5 outside \[0, 1\]"):
+            default_deviation(1.5, 100.0)
+
+    def test_infinite_ov_rejected(self):
+        with pytest.raises(ValueError, match="ov must be finite, got inf"):
+            default_deviation(0.4, math.inf)
+        with pytest.raises(ValueError, match="ov must be finite, got inf"):
+            deviation_degree(DeviationMembership(10.0), 5.0, 0.0, math.inf)
 
     def test_default_width_is_quarter_of_target(self):
         dm = default_deviation(0.4, 100.0)

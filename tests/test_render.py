@@ -48,7 +48,7 @@ class TestTable:
         header, rows = grid
         widths = [max(map(len, column)) for column in zip(header, *rows)]
         padded = [[c.ljust(w) for c, w in zip(row, widths)] for row in rows]
-        assert (render.table(header, iter(padded), widths)
+        assert ("".join(render.table_lines(header, iter(padded), widths))
                 == render.table(header, rows))
 
 

@@ -6,6 +6,7 @@ import pytest
 import paps
 from generators import NOT_LINE_BREAKS, random_valid_model
 from paps.source import NUMBER
+from paps import srm
 from paps.srm import SrmError, format_number, parse_model, serialize_model
 
 MINIMAL = (
@@ -254,6 +255,47 @@ class TestParse:
         assert r7.metric == "length of encryption key"
         assert r7.connector == "as many bits as"
         assert model.requirement("R6").connector is None
+
+
+# The quoted-string pattern before it was unrolled, kept as the reference.
+OLD_STR = r'"((?:[^"\\]|\\.)*)"'
+
+
+def _old_unescape(text: str) -> str:
+    return text.replace('\\"', '"').replace("\\\\", "\\")
+
+
+class TestStringPattern:
+    def test_unrolled_pattern_matches_as_the_old_one(self):
+        # On lines drawn over quotes, backslashes, '=', spaces and id
+        # characters, the string pattern alone and every line pattern and
+        # attribute pattern built from it match the same text with the
+        # same groups, or fail on the same lines.
+        built = [p for p in [*(p for p, _ in srm._LINES.values()),
+                             srm._ATTR_RE] if srm._STR in p.pattern]
+        assert len(built) == 3  # goal, req and the attribute pattern
+        patterns = [(re.compile(OLD_STR), re.compile(srm._STR))] + [
+            (re.compile(p.pattern.replace(srm._STR, OLD_STR)), p)
+            for p in built]
+        rng = random.Random(20261019)
+        alphabet = '"\\= \taR1_'
+        prefixes = ["", 'goal G1 ', 'req R1 ', 'req R1 "x" metric=',
+                    'req R1 "x" cost=1 tech=0 connector=']
+        for _ in range(40_000):
+            line = rng.choice(prefixes) + "".join(
+                rng.choices(alphabet, k=rng.randint(0, 14)))
+            for old, new in patterns:
+                for how in ("match", "fullmatch", "search"):
+                    a, b = getattr(old, how)(line), getattr(new, how)(line)
+                    assert (a and (a.span(), a.groups())) == (
+                        b and (b.span(), b.groups())), (line, new.pattern, how)
+                assert old.findall(line) == new.findall(line), line
+
+    @pytest.mark.parametrize("text", [
+        "", "plain", 'say \\"hi\\"', "a\\\\b", "\\\\\\\"", "tail\\",
+    ])
+    def test_unescape_agrees_with_the_full_replace(self, text):
+        assert srm._unescape(text) == _old_unescape(text)
 
 
 class TestSerialize:
