@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import io
 import os
 import sys
 from collections.abc import Callable, Iterable
@@ -115,7 +116,7 @@ def _for_goal(model_path: str, goal: str | None, rules: str | None,
     model, risk = _load(parse_model, model_path)
     _check_valid(model, risk)
     config, rulebase = _load(parse_rulebase, rules)
-    target = goal or model.root
+    target = model.root if goal is None else goal
     if target not in model._goals_by_id:
         _fail(f"unknown goal {target!r}")
     try:
@@ -241,7 +242,15 @@ def run() -> None:
     ``paps`` registers no ``atexit`` handler and closes an ``--out`` file
     in its ``with`` block, so after the flush nothing is left to write. Any
     exception other than ``SystemExit`` propagates with its traceback.
+
+    A raw stdout (``PYTHONUNBUFFERED``) gets a ``BufferedWriter``, which
+    retries the short writes the text layer would drop.
     """
+    out = sys.stdout
+    if isinstance(getattr(out, "buffer", None), io.RawIOBase):
+        sys.stdout = io.TextIOWrapper(
+            io.BufferedWriter(out.buffer), out.encoding, out.errors, "\n",
+            out.line_buffering)
     try:
         main()
     except SystemExit as exc:

@@ -9,7 +9,7 @@ everything here reads those rows.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from types import MappingProxyType
 
@@ -36,7 +36,7 @@ class _Texts(dict):
 
 class ImpactMatrix(namedtuple("ImpactMatrix", "goals requirements rows")):
     """Goal x requirement impacts; ``rows`` maps a goal to its non-zero
-    cells."""
+    cells, each in (0, 1], and the requirement ids are unique."""
 
     __slots__ = ()
 
@@ -50,21 +50,14 @@ class ImpactMatrix(namedtuple("ImpactMatrix", "goals requirements rows")):
     # and yield their text a line (csv, table) or a goal block (json) at a
     # time; ``to_csv``, ``to_table`` and ``to_json`` join what they yield.
 
-    def _lines(self, goals: Iterable[str], columns: tuple[str, ...],
-               blank: list[str], texts: list[_Texts],
-               head: Callable[[str], str] | None = None
+    def _lines(self, goals: Iterable[str], blank: list[str],
+               texts: list[_Texts], head: Callable[[str], str] | None = None
                ) -> Iterator[list[str]]:
         """Each goal's cells: a copy of ``blank`` in which the non-zero cell
-        of column i reads ``texts[i][value]``. With ``head`` a line starts
-        with ``head(goal)``, and the columns count from 1."""
-        start = 0 if head is None else 1
-        index: dict[str, int] = {}
-        repeats = []  # (column, earlier column with the same id)
-        for i, r in enumerate(columns, start):
-            if r in index:
-                repeats.append((i, index[r]))
-            else:
-                index[r] = i
+        of requirement i reads ``texts[i][value]``. With ``head`` a line
+        starts with ``head(goal)``, and the requirements count from 1."""
+        index = {r: i for i, r in
+                 enumerate(self.requirements, 0 if head is None else 1)}
         line = blank if head is None else ["", *blank]
         texts = texts if head is None else [None, *texts]
         for g in goals:
@@ -74,8 +67,6 @@ class ImpactMatrix(namedtuple("ImpactMatrix", "goals requirements rows")):
             for r, v in self.rows.get(g, _NO_CELLS).items():
                 i = index[r]
                 cells[i] = texts[i][v]
-            for i, j in repeats:
-                cells[i] = cells[j]
             yield cells
 
     def csv_lines(self, goals: Iterable[str] | None = None) -> Iterator[str]:
@@ -84,44 +75,25 @@ class ImpactMatrix(namedtuple("ImpactMatrix", "goals requirements rows")):
         text = _Texts("{:.2f}".format)
         yield ",".join(["goal", *columns]) + "\n"
         for cells in self._lines(
-                self.goals if goals is None else goals, columns,
+                self.goals if goals is None else goals,
                 [text[0.0]] * len(columns), [text] * len(columns), str):
             yield ",".join(cells) + "\n"
 
     def table_lines(self, goals: Iterable[str] | None = None
                     ) -> Iterator[str]:
-        """Each line of ``to_table``: a ``render.table``, its columns sized
-        to the shown goals before the first line."""
+        """Each line of ``to_table``: a ``render.table``. Every cell reads
+        ``0.00`` to ``1.00``, so a column is as wide as its id and, when a
+        goal is shown, as that text."""
         goals = list(self.goals if goals is None else goals)
-        text = _Texts("{:.2f}".format)
-        zero = text[0.0]
-        # A column is as wide as its id and its shown cells, and as the zero
-        # text unless each shown goal has a cell there whose text is of
-        # another width ("12.50", "inf"): an odd cell. Only a row holding an
-        # odd value needs a look at each of its cells.
-        shown = [self.rows.get(g, _NO_CELLS) for g in goals]
-        odd = {v: len(text[v]) for v in set().union(
-            *(row.values() for row in shown)) if len(text[v]) != len(zero)}
-        width = {r: len(r) for r in self.requirements}
-        odd_cells = Counter()  # column -> shown goals with an odd cell there
-        for row in shown:
-            if odd.keys().isdisjoint(row.values()):
-                continue
-            for r, v in row.items():
-                if v in odd:
-                    odd_cells[r] += 1
-                    width[r] = max(width[r], odd[v])
-        for r in width:
-            if odd_cells[r] < len(goals):
-                width[r] = max(width[r], len(zero))
+        cell = len("0.00") if goals else 0
         widths = [max([len("goal"), *map(len, goals)]),
-                  *(width[r] for r in self.requirements)]
+                  *(max(len(r), cell) for r in self.requirements)]
         # Cells come padded: one text table per distinct column width.
         padded = {w: _Texts(f"{{:<{w}.2f}}".format) for w in widths[1:]}
         texts = [padded[w] for w in widths[1:]]
         yield from render.table_lines(
             ["goal", *self.requirements], self._lines(
-                goals, self.requirements, [t[0.0] for t in texts], texts,
+                goals, [t[0.0] for t in texts], texts,
                 lambda g: g.ljust(widths[0])), widths)
 
     def json_blocks(self, goals: Iterable[str] | None = None
@@ -135,16 +107,15 @@ class ImpactMatrix(namedtuple("ImpactMatrix", "goals requirements rows")):
         if not goals:
             yield "{}\n"
             return
-        columns = tuple(dict.fromkeys(self.requirements))
         # One text table per column, its "    \"R12\": " prefix applied to
         # the value's text, which every column shares.
         value = _Texts(dumps)
         texts = [_Texts(lambda v, p=f"    {dumps(r)}: ": p + value[v])
-                 for r in columns]
+                 for r in self.requirements]
         last = goals[-1]
         yield "{\n"
         for g, cells in zip(goals, self._lines(
-                goals, columns, [t[0.0] for t in texts], texts)):
+                goals, [t[0.0] for t in texts], texts)):
             body = "{\n" + ",\n".join(cells) + "\n  }" if cells else "{}"
             yield f"  {dumps(g)}: {body}{',' if g != last else ''}\n"
         yield "}\n"

@@ -9,7 +9,7 @@ a contribution degree in [0, 1]. Requirements additionally carry risk data
 from __future__ import annotations
 
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Mapping
 from functools import cached_property
 
@@ -171,6 +171,17 @@ class ModelGraph:
 
     def __init__(self, model: SecurityModel):
         self._requirements = model._requirements_by_id
+        ids = [g.id for g in model.goals] + [r.id for r in model.requirements]
+        nodes = set(ids)
+        # What else ``impact_rows`` refuses, in ``validate_model``'s words:
+        # the first repeated id, else the first rule with a degree outside
+        # [0, 1] (NaN too), in natural id order.
+        refusals = sorted(
+            [(natural_key(i), f"{i}: declared more than once")
+             for i, n in Counter(ids).items() if n > 1]
+            or [(natural_key(r.id), f"{r.id}: degree {r.degree} outside [0, 1]")
+                for r in model.rules if not 0.0 <= r.degree <= 1.0])
+        self._refusal = refusals[0][1] if refusals else None
         adj: dict[str, dict[str, float]] = {}
         for rule in model.rules:
             children = adj.setdefault(rule.head, {})
@@ -184,8 +195,7 @@ class ModelGraph:
         self.order: tuple[str, ...] | None = None
         order: list[str] = []
         done: set[str] = set()
-        for start in sorted(model.goal_ids() | model.requirement_ids()
-                            | set(adj)):
+        for start in sorted(nodes | set(adj)):
             if start in done:
                 continue
             path, on_path = [start], {start}
@@ -221,13 +231,16 @@ class ModelGraph:
 
     @cached_property
     def impact_rows(self) -> dict[str, dict[str, float]]:
-        """Node -> {requirement: impact > 0}, the widest-path widths.
+        """Node -> {requirement: impact in (0, 1]}, the widest-path widths.
 
         One pass over ``order``, children first: the row of a node is the
         max over its children (c, d) of min(d, row[c][r]), where a
         requirement child also contributes d for itself (Pollack 1960).
-        Nodes that reach no requirement have no row.
+        Nodes that reach no requirement have no row. A repeated id, a
+        degree outside [0, 1] or a cycle raises ``ValueError``.
         """
+        if self._refusal is not None:
+            raise ValueError(self._refusal)
         if self.order is None:
             raise ValueError("derivation cycle: " + " -> ".join(self.cycle))
         requirements = self._requirements

@@ -292,6 +292,11 @@ class TestPrioritize:
         implicit = _invoke(runner, "prioritize", obs_path)
         assert implicit.output == explicit.output
 
+    def test_empty_goal_is_unknown(self, runner, obs_path):
+        result = _invoke(runner, "prioritize", obs_path, "--goal", "")
+        assert result.exit_code == 1
+        assert result.output == "error: unknown goal ''\n"
+
 
 class TestRelax:
     def test_root_statements_match_expected_metrics(self, runner, obs_path):
@@ -303,6 +308,11 @@ class TestRelax:
         for req_id, metric in zip(REQ_IDS, EXPECTED_METRICS):
             assert f"[{metric}]" in rendered[req_id]
         assert "as many bits as" in rendered["R7"]
+
+    def test_empty_goal_is_unknown(self, runner, obs_path):
+        result = _invoke(runner, "relax", obs_path, "--goal", "")
+        assert result.exit_code == 1
+        assert result.output == "error: unknown goal ''\n"
 
     def test_g13_single_line(self, runner, obs_path):
         result = _invoke(runner, "relax", obs_path, "--goal", "G13")
@@ -456,12 +466,12 @@ def _placed(args: list[str], obs_path: str, tmp_path) -> list[str]:
     return [where.get(arg, arg) for arg in args]
 
 
-def _layered(tmp_path) -> str:
-    """The path of a seeded 60-goal x 120-requirement layered model, whose
-    json impact matrix is larger than a pipe buffer."""
+def _layered(tmp_path, goals=60, requirements=120, layers=4) -> str:
+    """The path of a seeded layered model; at the default 60 goals x 120
+    requirements its json impact matrix is larger than a pipe buffer."""
     path = tmp_path / "layered.srm"
-    path.write_text(bench_gen.layered_model(3, 60, 120, layers=4).text,
-                    encoding="utf-8")
+    path.write_text(bench_gen.layered_model(
+        3, goals, requirements, layers=layers).text, encoding="utf-8")
     return str(path)
 
 
@@ -492,20 +502,30 @@ class TestProcess:
         assert len(process.stdout) > 65536  # a Linux pipe buffer
         assert process.stdout == invoke(args).stdout.encode()
 
-    @pytest.mark.parametrize("unbuffered", ["1", ""],
-                             ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command,unbuffered", [
+        pytest.param("impacts", "1", id="unbuffered"),
+        pytest.param("impacts", "", id="buffered"),
+        pytest.param("prioritize", "1", id="prioritize-unbuffered"),
+        pytest.param("prioritize", "", id="prioritize-buffered"),
+        pytest.param("relax", "1", id="relax-unbuffered"),
+        pytest.param("relax", "", id="relax-buffered"),
+    ])
     def test_reader_closing_mid_stream_exits_one_quietly(self, tmp_path,
-                                                         unbuffered):
-        # The output is larger than a pipe buffer, so paps is still writing
-        # goal blocks when its reader goes; unbuffered, each block is its
-        # own write.
+                                                         command, unbuffered):
+        # Each output is larger than a pipe buffer, so paps is still writing
+        # when its reader goes. Unbuffered, impacts writes each goal block
+        # on its own, and prioritize and relax write their one string in a
+        # write that the departing reader cuts short.
+        model = (_layered(tmp_path) if command == "impacts"
+                 else _layered(tmp_path, 300, 600, layers=6))
         src = Path(paps.__file__).resolve().parent.parent
         process = subprocess.Popen(
-            [sys.executable, "-m", "paps.cli", "impacts", _layered(tmp_path),
+            [sys.executable, "-m", "paps.cli", command, model,
              "--format", "json"], stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, env=dict(
                 os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered))
-        assert os.read(process.stdout.fileno(), 4096).startswith(b"{\n")
+        assert os.read(process.stdout.fileno(), 4096).startswith(
+            b"{\n" if command == "impacts" else b"[\n")
         process.stdout.close()
         stderr = process.stderr.read()
         process.stderr.close()

@@ -9,7 +9,10 @@ from generators import random_dag_model
 from obs_tables import EXPECTED_IMPACTS, GOAL_IDS, REQ_IDS
 from oracle import OracleSizeError, brute_force_impact
 from paps.impact import build_srl, impact, impact_matrix
-from paps.model import (DerivationRule, Goal, Requirement, SecurityModel)
+from paps.model import (CATEGORY_CYCLE, CATEGORY_RANGE, DerivationRule, Goal,
+                        Requirement, RiskProfile, SecurityModel,
+                        validate_model)
+from paps.pipeline import prioritize
 
 
 def _model(goals, reqs, rules, root):
@@ -281,6 +284,94 @@ def _table_reference(matrix, goals):
     return "\n".join([fmt(header), rule] + [fmt(r) for r in rows]) + "\n"
 
 
+def _refusals(model):
+    """The texts ``impact_rows`` may refuse ``model`` with: each error
+    ``validate_model`` reports for a repeated goal or requirement id, a
+    rule degree outside [0, 1] or a cycle, in its words. Empty when the
+    model must be laid out."""
+    texts = set()
+    for finding in validate_model(model, RiskProfile({}, {})).errors:
+        if finding.category == CATEGORY_CYCLE:
+            texts.add(finding.message)
+        elif (finding.category == CATEGORY_RANGE  # no risk: only degrees
+              or finding.message == "declared more than once"):
+            texts.add(f"{finding.subject}: {finding.message}")
+    return texts
+
+
+def _risk(model):
+    values = {r.id: 0.5 for r in model.requirements}
+    return RiskProfile(values, values)
+
+
+def _assert_refused(model, refusals, default_fis=None):
+    """``impact_matrix``, ``build_srl`` and, given a rule base,
+    ``prioritize`` each raise ``ValueError`` with one of ``refusals``."""
+    calls = [lambda: impact_matrix(model), lambda: build_srl(model, model.root)]
+    if default_fis is not None:
+        calls.append(lambda: prioritize(model, _risk(model), model.root,
+                                        *default_fis))
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) in refusals
+
+
+@st.composite
+def refusable_dags(draw):
+    """``messy_dags`` with degrees in and out of [0, 1] (NaN too), and on
+    some draws a repeated goal or requirement id, or a rule back into the
+    root, which closes a cycle when the root reaches its head."""
+    model = draw(messy_dags(st.sampled_from(
+        [0.5, 1.0, 12.5, 100.0, math.inf, math.nan, -0.5])))
+    ids = [g.id for g in model.goals] + [r.id for r in model.requirements]
+    repeat = draw(st.none() | st.sampled_from(ids))
+    if repeat is not None:
+        if draw(st.booleans()):
+            model = model._replace(goals=(*model.goals, Goal(repeat)))
+        else:
+            model = model._replace(
+                requirements=(*model.requirements, Requirement(repeat)))
+    if draw(st.booleans()):
+        head = draw(st.sampled_from(model.goals)).id
+        model = model._replace(rules=(
+            *model.rules, DerivationRule("P0", head, (model.root,), 0.5)))
+    return model
+
+
+class TestRefusal:
+    """``impact_rows``, and so every entry point that reads it, refuses a
+    model that ``validate`` rejects for a repeated id, a degree outside
+    [0, 1] or a cycle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(refusable_dags(), st.data())
+    def test_refused_exactly_when_validate_reports_it(self, default_fis,
+                                                      model, data):
+        refusals = _refusals(model)
+        if refusals:
+            _assert_refused(model, refusals, default_fis)
+            return
+        build_srl(model, model.root)
+        prioritize(model, _risk(model), model.root, *default_fis)
+        matrix = impact_matrix(model)
+        goals = data.draw(st.lists(st.sampled_from(matrix.goals), max_size=4))
+        for subset in (None, goals):
+            shown = matrix.goals if subset is None else subset
+            assert matrix.to_json(subset) == _json_reference(matrix, shown)
+            assert matrix.to_csv(subset) == _csv_reference(matrix, shown)
+            assert matrix.to_table(subset) == _table_reference(matrix, shown)
+
+    def test_requirement_declared_twice(self, default_fis):
+        model = _model(["S"], ["R1", "R2", "R1"],
+                       [("S", ["R1", "R2"], 0.5)], "S")
+        _assert_refused(model, {"R1: declared more than once"}, default_fis)
+
+    def test_nan_degree(self, default_fis):
+        model = _model(["S"], ["R1"], [("S", ["R1"], math.nan)], "S")
+        _assert_refused(model, {"P1: degree nan outside [0, 1]"}, default_fis)
+
+
 class TestSinglePass:
     @settings(max_examples=300, deadline=None)
     @given(messy_dags())
@@ -336,12 +427,17 @@ class TestSinglePass:
         _model(["S"], ["R1", "R2"], [], "S"),               # no rules
         _model(["S", "G1"], [], [("S", ["G1"], 0.5)], "S"),  # no requirements
         _model([], ["R1"], [], "S"),                        # no goals
-        _model(["S", "G1"], ["R1", "R2"],                   # wide cells
+        _model(["S", "G1"], ["R1", "R2"],                   # a wide degree
                [("S", ["R1"], 12.5), ("G1", ["R2"], 0.5)], "S"),
         _model(["S", "S"], ["R1", "R2", "R1"],              # repeated ids
                [("S", ["R1", "R2"], 0.5)], "S"),
     ])
     def test_renderers_on_edge_case_models(self, model):
+        # The last two are refused, as validate rejects them.
+        refusals = _refusals(model)
+        if refusals:
+            _assert_refused(model, refusals)
+            return
         matrix = impact_matrix(model)
         assert matrix.to_json() == _json_reference(matrix, matrix.goals)
         assert matrix.to_table() == _table_reference(matrix, matrix.goals)
@@ -351,8 +447,11 @@ class TestSinglePass:
     @given(messy_dags(st.sampled_from([0.5, 1.0, 12.5, 100.0, math.inf])),
            st.data())
     def test_table_widths_with_cells_of_other_widths(self, model, data):
-        # Library-built models may hold degrees whose text is wider
-        # ("12.50") or narrower ("inf") than the zero text.
+        # A degree whose text is wider ("12.50") or narrower ("inf") than
+        # "0.00" is refused, so every laid-out cell is as wide as "0.00".
+        if any(rule.degree > 1.0 for rule in model.rules):
+            _assert_refused(model, _refusals(model))
+            return
         matrix = impact_matrix(model)
         goals = data.draw(st.lists(st.sampled_from(matrix.goals), max_size=4))
         for subset in (None, goals):
@@ -361,11 +460,17 @@ class TestSinglePass:
 
     @pytest.mark.parametrize("goals", [["S"], ["G1"], ["G1", "S"], []])
     def test_table_widths_follow_the_shown_goals(self, goals):
-        # R1 holds a wide cell for S only; G1 shows 0.00 there.
-        matrix = impact_matrix(_model(
+        # Cells wider (12.50) and narrower (inf) than 0.00 are never laid
+        # out: the matrix and the list of each goal are refused, naming the
+        # first rule in id order.
+        model = _model(
             ["S", "G1"], ["R1", "R2"],
-            [("S", ["R1"], 12.5), ("G1", ["R2"], float("inf"))], "S"))
-        assert matrix.to_table(goals) == _table_reference(matrix, goals)
+            [("S", ["R1"], 12.5), ("G1", ["R2"], float("inf"))], "S")
+        for call in [lambda: impact_matrix(model),
+                     *(lambda g=g: build_srl(model, g) for g in goals)]:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == "P1: degree 12.5 outside [0, 1]"
 
     def test_rows_are_computed_once_per_model(self, obs):
         model, _ = obs
