@@ -14,6 +14,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from types import MappingProxyType
 
 from . import render
+from .model import CATEGORY_CYCLE, CATEGORY_DUPLICATE, CATEGORY_RANGE, Finding
 # ``adjacency`` is imported for bench/tracing.py, which wraps it here.
 from .model import SecurityModel, adjacency  # noqa: F401
 
@@ -137,18 +138,39 @@ class ImpactMatrix(namedtuple("ImpactMatrix", "goals requirements rows")):
         return "".join(self.json_blocks(goals))
 
 
+def _refuse(finding: Finding) -> None:
+    """Raise ``ValueError`` in ``validate``'s words: "subject: message",
+    or the bare message of the cycle."""
+    raise ValueError(finding.message if finding.category == CATEGORY_CYCLE
+                     else f"{finding.subject}: {finding.message}")
+
+
+def _rows(model: SecurityModel) -> dict[str, dict[str, float]]:
+    """``model.graph.impact_rows``, refused for the model's first repeated
+    goal or requirement id, else its first degree outside [0, 1]."""
+    nodes, rules, _ = model._findings
+    for run, category in ((nodes, CATEGORY_DUPLICATE), (rules, CATEGORY_RANGE)):
+        for finding in run:
+            if finding.category == category:
+                _refuse(finding)
+    return model.graph.impact_rows
+
+
 def impact(model: SecurityModel, goal: str, requirement: str) -> float:
     """Max over derivation paths of the min rule degree; 0 if no path."""
+    rows = _rows(model)
     requirements = model._requirements_by_id
     if goal not in model._goals_by_id and goal not in requirements:
         raise KeyError(f"unknown node {goal!r}")
     if requirement not in requirements:
         raise KeyError(f"unknown requirement {requirement!r}")
-    return model.graph.impact_rows.get(goal, _NO_CELLS).get(requirement, 0.0)
+    return rows.get(goal, _NO_CELLS).get(requirement, 0.0)
 
 
 def impact_matrix(model: SecurityModel) -> ImpactMatrix:
-    rows = model.graph.impact_rows
+    """Every goal's impacts; undeclared nodes are laid out as any other,
+    a repeated id, a degree outside [0, 1] or a cycle refused."""
+    rows = _rows(model)
     goals = tuple(g.id for g in model.sorted_goals())
     requirements = tuple(r.id for r in model.sorted_requirements())
     # Read-only views: the rows stay cached on the model.
@@ -159,7 +181,13 @@ def impact_matrix(model: SecurityModel) -> ImpactMatrix:
 def build_srl(model: SecurityModel,
               goal: str) -> tuple[tuple[str, float], ...]:
     """(requirement, impact) for every requirement with positive impact on
-    the goal, strongest first."""
+    the goal, strongest first. A model that ``validate_model`` reports
+    an error for is refused with the first error, before the goal is
+    looked up (``P3: requirement R1 used as rule head``)."""
+    nodes, rules, graph = model._findings
+    for finding in (*nodes, *rules, *graph[:1]):  # the errors come first
+        if finding.severity == "error":
+            _refuse(finding)
     if goal not in model._goals_by_id:
         raise KeyError(f"unknown goal {goal!r}")
     row = model.graph.impact_rows.get(goal, _NO_CELLS)

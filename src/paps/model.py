@@ -9,7 +9,7 @@ a contribution degree in [0, 1]. Requirements additionally carry risk data
 from __future__ import annotations
 
 import re
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Mapping
 from functools import cached_property
 
@@ -18,12 +18,11 @@ _DIGIT_RUN = re.compile(r"(\d+)")
 
 
 def natural_key(node_id: str) -> tuple:
-    """Sort key treating digit runs numerically, so R2 < R10."""
-    return tuple([
-        int(part) if part.isdigit() else part
-        for part in _DIGIT_RUN.split(node_id)
-        if part != ""
-    ])
+    """Sort key treating digit runs numerically, so R2 < R10. Text and
+    numbers alternate, text first (maybe empty), so any two keys compare."""
+    parts = _DIGIT_RUN.split(node_id)
+    parts[1::2] = map(int, parts[1::2])
+    return tuple(parts)
 
 
 # The records are named tuples: immutable, compared and hashed by value,
@@ -146,6 +145,10 @@ class SecurityModel(Frozen, namedtuple(
     def graph(self) -> ModelGraph:
         return ModelGraph(self)
 
+    @cached_property
+    def _findings(self) -> tuple[tuple[Finding, ...], ...]:
+        return _model_findings(self)
+
 
 class RiskProfile(namedtuple("RiskProfile", "cost technical_ability")):
     """Per-requirement cost and technical-ability, both in [0, 1]."""
@@ -166,22 +169,13 @@ class ModelGraph:
     back into the search path ends it: ``cycle`` then holds that path from
     the edge's target on, closed by the target again (``[G1, G2, G1]``),
     and ``order`` is None. On an acyclic graph ``cycle`` is None.
-    ``impact_rows`` is computed on first use.
+    ``impact_rows`` is computed on first use. The graph checks nothing
+    else: repeated ids and degrees outside [0, 1] are the model's findings.
     """
 
     def __init__(self, model: SecurityModel):
         self._requirements = model._requirements_by_id
-        ids = [g.id for g in model.goals] + [r.id for r in model.requirements]
-        nodes = set(ids)
-        # What else ``impact_rows`` refuses, in ``validate_model``'s words:
-        # the first repeated id, else the first rule with a degree outside
-        # [0, 1] (NaN too), in natural id order.
-        refusals = sorted(
-            [(natural_key(i), f"{i}: declared more than once")
-             for i, n in Counter(ids).items() if n > 1]
-            or [(natural_key(r.id), f"{r.id}: degree {r.degree} outside [0, 1]")
-                for r in model.rules if not 0.0 <= r.degree <= 1.0])
-        self._refusal = refusals[0][1] if refusals else None
+        nodes = model._goals_by_id.keys() | self._requirements.keys()
         adj: dict[str, dict[str, float]] = {}
         for rule in model.rules:
             children = adj.setdefault(rule.head, {})
@@ -236,11 +230,10 @@ class ModelGraph:
         One pass over ``order``, children first: the row of a node is the
         max over its children (c, d) of min(d, row[c][r]), where a
         requirement child also contributes d for itself (Pollack 1960).
-        Nodes that reach no requirement have no row. A repeated id, a
-        degree outside [0, 1] or a cycle raises ``ValueError``.
+        Nodes that reach no requirement have no row. A cycle raises
+        ``ValueError``; the rows of a graph with repeated ids or degrees
+        outside [0, 1] are computed as given (see ``impact_matrix``).
         """
-        if self._refusal is not None:
-            raise ValueError(self._refusal)
         if self.order is None:
             raise ValueError("derivation cycle: " + " -> ".join(self.cycle))
         requirements = self._requirements
@@ -317,15 +310,17 @@ class ValidationReport(namedtuple("ValidationReport", "findings",
         return not self.errors
 
 
-def validate_model(model: SecurityModel, risk: RiskProfile) -> ValidationReport:
-    """Check every structural invariant; never raises, always reports."""
+def _model_findings(model: SecurityModel) -> tuple[tuple[Finding, ...], ...]:
+    """``validate_model``'s findings that need no risk data, in three runs:
+    node ids and the root, rules in natural id order, then the graph (the
+    cycle, an error, or the unreachable nodes, warnings)."""
     findings: list[Finding] = []
-    declared: set[str] = set()
+    declared: dict[str, None] = {}  # in declaration order, for equal keys
     for node_id in [g.id for g in model.goals] + [r.id for r in model.requirements]:
         if node_id in declared:
             findings.append(Finding(CATEGORY_DUPLICATE, "error", node_id,
                                     "declared more than once"))
-        declared.add(node_id)
+        declared[node_id] = None
 
     goal_ids = model.goal_ids()
     req_ids = model.requirement_ids()
@@ -357,18 +352,9 @@ def validate_model(model: SecurityModel, risk: RiskProfile) -> ValidationReport:
         if not 0.0 <= rule.degree <= 1.0:
             findings.append(Finding(CATEGORY_RANGE, "error", rule.id,
                                     f"degree {rule.degree} outside [0, 1]"))
-
-    for req in model.requirements:
-        for name, table in (("cost", risk.cost),
-                            ("technical ability", risk.technical_ability)):
-            if req.id not in table:
-                findings.append(Finding(CATEGORY_MISSING_RISK, "error", req.id,
-                                        f"no {name} value"))
-            elif not 0.0 <= table[req.id] <= 1.0:
-                findings.append(Finding(CATEGORY_RANGE, "error", req.id,
-                                        f"{name} {table[req.id]} outside [0, 1]"))
     # id order, not declaration order; sorting findings, not rules, is cheap
     findings[start:] = sorted(findings[start:], key=lambda f: natural_key(f.subject))
+    end = len(findings)
 
     cycle = model.graph.cycle
     if cycle is not None:
@@ -377,8 +363,28 @@ def validate_model(model: SecurityModel, risk: RiskProfile) -> ValidationReport:
 
     if model.root in goal_ids and cycle is None:
         reachable = model.graph.reachable(model.root)
-        for node_id in sorted(declared - reachable, key=natural_key):
+        for node_id in sorted([i for i in declared if i not in reachable],
+                              key=natural_key):
             findings.append(Finding(CATEGORY_UNREACHABLE, "warning", node_id,
                                     "no derivation chain from the root goal"))
 
-    return ValidationReport(tuple(findings))
+    return tuple(findings[:start]), tuple(findings[start:end]), tuple(findings[end:])
+
+
+def validate_model(model: SecurityModel, risk: RiskProfile) -> ValidationReport:
+    """Check every structural invariant; never raises, always reports."""
+    nodes, rules, graph = model._findings
+    by_id = list(rules)
+    for req in model.requirements:
+        for name, table in (("cost", risk.cost),
+                            ("technical ability", risk.technical_ability)):
+            if req.id not in table:
+                by_id.append(Finding(CATEGORY_MISSING_RISK, "error", req.id,
+                                     f"no {name} value"))
+            elif not 0.0 <= table[req.id] <= 1.0:
+                by_id.append(Finding(CATEGORY_RANGE, "error", req.id,
+                                     f"{name} {table[req.id]} outside [0, 1]"))
+    # The model's findings are found once; the risk findings join its rule
+    # findings in id order, after them on an equal id (a stable sort).
+    by_id.sort(key=lambda f: natural_key(f.subject))
+    return ValidationReport((*nodes, *by_id, *graph))

@@ -37,9 +37,10 @@ def prioritize(model: SecurityModel, risk: RiskProfile, goal: str,
     Requirements with zero impact on the goal are absent. If no rule fires
     for an entry the RDS falls back to the centroid of the weakest output
     term and the entry is flagged rather than dropped. The inputs bind to
-    the rule base's variables by name, not by declaration order. A
-    requirement with no cost or no technical ability value raises
-    ``ValueError`` naming it, in ``validate_model``'s words.
+    the rule base's variables by name, not by declaration order. A model
+    that ``validate_model`` reports an error for raises ``ValueError``
+    with the first such error's text (see ``build_srl``), and so does a
+    contributing requirement with no cost or no technical ability value.
 
     Each distinct ``(impact, cost, tech)`` triple is scored once per rule
     base and config (see ``RuleBase``) by ``fuzzify``, ``infer``,

@@ -13,6 +13,7 @@ from paps.model import (CATEGORY_CYCLE, CATEGORY_RANGE, DerivationRule, Goal,
                         Requirement, RiskProfile, SecurityModel,
                         validate_model)
 from paps.pipeline import prioritize
+from paps.relax import relax_srl
 
 
 def _model(goals, reqs, rules, root):
@@ -284,37 +285,54 @@ def _table_reference(matrix, goals):
     return "\n".join([fmt(header), rule] + [fmt(r) for r in rows]) + "\n"
 
 
-def _refusals(model):
-    """The texts ``impact_rows`` may refuse ``model`` with: each error
-    ``validate_model`` reports for a repeated goal or requirement id, a
-    rule degree outside [0, 1] or a cycle, in its words. Empty when the
-    model must be laid out."""
-    texts = set()
-    for finding in validate_model(model, RiskProfile({}, {})).errors:
-        if finding.category == CATEGORY_CYCLE:
-            texts.add(finding.message)
-        elif (finding.category == CATEGORY_RANGE  # no risk: only degrees
-              or finding.message == "declared more than once"):
-            texts.add(f"{finding.subject}: {finding.message}")
-    return texts
-
-
 def _risk(model):
     values = {r.id: 0.5 for r in model.requirements}
     return RiskProfile(values, values)
 
 
-def _assert_refused(model, refusals, default_fis=None):
-    """``impact_matrix``, ``build_srl`` and, given a rule base,
-    ``prioritize`` each raise ``ValueError`` with one of ``refusals``."""
-    calls = [lambda: impact_matrix(model), lambda: build_srl(model, model.root)]
+def _refusals(model):
+    """The texts of the errors ``validate_model`` reports for ``model``, in
+    its order and in the words the library raises them with: every one
+    for ``build_srl``, ``prioritize`` and ``relax_srl``; those for a
+    repeated goal or requirement id, a rule degree outside [0, 1] or a
+    cycle for ``impact_matrix``. Both lists are empty for a valid model;
+    the second is empty when the model must be laid out."""
+    every, layout = [], []
+    for finding in validate_model(model, _risk(model)).errors:
+        if finding.category == CATEGORY_CYCLE:
+            text = finding.message
+        else:
+            text = f"{finding.subject}: {finding.message}"
+        every.append(text)
+        if (finding.category in (CATEGORY_CYCLE, CATEGORY_RANGE)
+                or finding.message == "declared more than once"):
+            layout.append(text)
+    return every, layout
+
+
+def _raises(call, text):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == text
+
+
+def _assert_refused(model, default_fis=None):
+    """``build_srl`` and, given a rule base, ``prioritize`` and
+    ``relax_srl`` raise ``ValueError`` with the text of the first error
+    ``validate_model`` reports; ``impact_matrix`` and ``impact`` raise
+    with the first of the texts they refuse with, if any. Returns those
+    texts."""
+    every, layout = _refusals(model)
+    assert every
+    _raises(lambda: build_srl(model, model.root), every[0])
     if default_fis is not None:
-        calls.append(lambda: prioritize(model, _risk(model), model.root,
-                                        *default_fis))
-    for call in calls:
-        with pytest.raises(ValueError) as exc:
-            call()
-        assert str(exc.value) in refusals
+        for run in (prioritize, relax_srl):
+            _raises(lambda: run(model, _risk(model), model.root, *default_fis),
+                    every[0])
+    if layout:
+        _raises(lambda: impact_matrix(model), layout[0])
+        _raises(lambda: impact(model, model.root, model.root), layout[0])
+    return every, layout
 
 
 @st.composite
@@ -340,20 +358,22 @@ def refusable_dags(draw):
 
 
 class TestRefusal:
-    """``impact_rows``, and so every entry point that reads it, refuses a
-    model that ``validate`` rejects for a repeated id, a degree outside
-    [0, 1] or a cycle."""
+    """``build_srl``, and so ``prioritize`` and ``relax_srl``, refuse a
+    model that ``validate`` rejects, with its first error; ``impact_matrix``
+    refuses one with a repeated id, a degree outside [0, 1] or a cycle."""
 
     @settings(max_examples=300, deadline=None)
     @given(refusable_dags(), st.data())
     def test_refused_exactly_when_validate_reports_it(self, default_fis,
                                                       model, data):
-        refusals = _refusals(model)
-        if refusals:
-            _assert_refused(model, refusals, default_fis)
+        every, layout = _refusals(model)
+        if every:
+            _assert_refused(model, default_fis)
+        else:
+            build_srl(model, model.root)
+            prioritize(model, _risk(model), model.root, *default_fis)
+        if layout:
             return
-        build_srl(model, model.root)
-        prioritize(model, _risk(model), model.root, *default_fis)
         matrix = impact_matrix(model)
         goals = data.draw(st.lists(st.sampled_from(matrix.goals), max_size=4))
         for subset in (None, goals):
@@ -362,14 +382,50 @@ class TestRefusal:
             assert matrix.to_csv(subset) == _csv_reference(matrix, shown)
             assert matrix.to_table(subset) == _table_reference(matrix, shown)
 
+    # The kinds of error that impact_matrix lays out, as validate reports
+    # them; the two it refuses too follow.
+    @pytest.mark.parametrize("model, text", [
+        (_model(["S"], ["R1", "R2"],
+                [("S", ["R1"], 0.5), ("S", ["R2"], 0.5), ("R1", ["R2"], 0.9)],
+                "S"),
+         "P3: requirement R1 used as rule head"),
+        (_model(["S"], ["R1"], [("S", ["R1", "X"], 0.5)], "S"),
+         "P1: rule body element X is not declared"),
+        (SecurityModel((Goal("S"),), (Requirement("R1"),), (
+            DerivationRule("P1", "S", ("R1",), 0.5),
+            DerivationRule("P1", "S", ("R1",), 0.7)), "S"),
+         "P1: rule id declared more than once"),
+        (_model(["S"], ["R1"], [("S", ["R1"], 0.5)], "R1"),
+         "R1: root node must be a goal"),
+    ], ids=["requirement-as-head", "undeclared-body-element",
+            "rule-declared-twice", "requirement-as-root"])
+    def test_refused_but_laid_out(self, default_fis, model, text):
+        assert _assert_refused(model, default_fis) == ([text], [])
+        impact_matrix(model)
+
     def test_requirement_declared_twice(self, default_fis):
         model = _model(["S"], ["R1", "R2", "R1"],
                        [("S", ["R1", "R2"], 0.5)], "S")
-        _assert_refused(model, {"R1: declared more than once"}, default_fis)
+        assert _assert_refused(model, default_fis) == (
+            ["R1: declared more than once"], ["R1: declared more than once"])
 
     def test_nan_degree(self, default_fis):
         model = _model(["S"], ["R1"], [("S", ["R1"], math.nan)], "S")
-        _assert_refused(model, {"P1: degree nan outside [0, 1]"}, default_fis)
+        assert _assert_refused(model, default_fis) == (
+            ["P1: degree nan outside [0, 1]"], ["P1: degree nan outside [0, 1]"])
+
+    def test_goals_that_start_with_a_digit_get_a_matrix(self, default_fis):
+        model = _model(["S", "1A", "A1"], ["R1", "2"],
+                       [("S", ["1A", "A1"], 0.5), ("1A", ["R1"], 0.9),
+                        ("A1", ["2"], 0.4)], "S")
+        assert validate_model(model, _risk(model)).findings == ()
+        matrix = impact_matrix(model)
+        assert matrix.goals == ("S", "1A", "A1")
+        assert matrix.requirements == ("2", "R1")
+        assert matrix.entries == {("S", "R1"): 0.5, ("S", "2"): 0.4,
+                                  ("1A", "R1"): 0.9, ("A1", "2"): 0.4}
+        assert {e.requirement for e in prioritize(
+            model, _risk(model), "S", *default_fis)} == {"R1", "2"}
 
 
 class TestSinglePass:
@@ -433,10 +489,12 @@ class TestSinglePass:
                [("S", ["R1", "R2"], 0.5)], "S"),
     ])
     def test_renderers_on_edge_case_models(self, model):
-        # The last two are refused, as validate rejects them.
-        refusals = _refusals(model)
-        if refusals:
-            _assert_refused(model, refusals)
+        # The last two are refused, as validate rejects them; build_srl
+        # also refuses the one with no goals, whose root is not declared.
+        every, layout = _refusals(model)
+        if every:
+            _assert_refused(model)
+        if layout:
             return
         matrix = impact_matrix(model)
         assert matrix.to_json() == _json_reference(matrix, matrix.goals)
@@ -449,8 +507,12 @@ class TestSinglePass:
     def test_table_widths_with_cells_of_other_widths(self, model, data):
         # A degree whose text is wider ("12.50") or narrower ("inf") than
         # "0.00" is refused, so every laid-out cell is as wide as "0.00".
-        if any(rule.degree > 1.0 for rule in model.rules):
-            _assert_refused(model, _refusals(model))
+        # build_srl also refuses the undeclared nodes messy_dags draw.
+        every, layout = _refusals(model)
+        assert bool(layout) == any(rule.degree > 1.0 for rule in model.rules)
+        if every:
+            _assert_refused(model)
+        if layout:
             return
         matrix = impact_matrix(model)
         goals = data.draw(st.lists(st.sampled_from(matrix.goals), max_size=4))

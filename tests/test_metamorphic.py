@@ -8,7 +8,10 @@ max-collapse of duplicate edges:
 - put a goal in the middle: replace ``H -> A @ d`` with ``H -> X @ 1`` and
   ``X -> A @ d``, for a new goal ``X`` (``A`` may be a whole body);
 - add ``H -> A @ d'`` where the edge ``H -> A`` already has a degree
-  ``>= d'``.
+  ``>= d'``;
+- rename the goals and requirements by a bijection that keeps their
+  natural id order and trailing digits (so ``OV_k`` stays): the output is
+  the same up to the renaming.
 
 The rule-base rewrites follow from Mamdani inference, where an output
 term's activation is the max over its rules' strengths:
@@ -24,11 +27,13 @@ time from its own memo.
 
 from __future__ import annotations
 
+import re
+
 from hypothesis import assume, given, settings, strategies as st
 
 import paps
 from generators import random_valid_model
-from paps.model import DerivationRule, Goal
+from paps.model import DerivationRule, Goal, RiskProfile, natural_key
 from paps.pipeline import report_csv
 from paps.relax import relax_text
 
@@ -145,3 +150,78 @@ def test_a_rule_that_never_fires_keeps_every_output(rng, data):
     rules = _rules_with(f"IF {name} IS low AND {name} IS high "
                         f"THEN priority IS {term};", data)
     _assert_same_outputs(model, model, risk, rules)
+
+
+LETTERS = "abzABZ_"
+DIGITS = "0123456789"
+
+
+@st.composite
+def _stems(draw, count: int, last: str) -> list[str]:
+    """``count`` stems in natural id order, repeats allowed, each ending in
+    a letter of ``last`` and holding the same number of digit runs (a stem
+    may start with one). So no stem's key is a proper prefix of another's,
+    and ``stem + digits`` sorts as the pair (stem, digits)."""
+    runs = draw(st.integers(0, 2))
+    parts = [st.text(LETTERS, max_size=2)]
+    parts += [st.text(DIGITS, min_size=1, max_size=2),
+              st.text(LETTERS, min_size=1, max_size=2)] * runs
+    stem = st.tuples(*parts, st.sampled_from(last)).map("".join)
+    return sorted(draw(st.lists(stem, min_size=count, max_size=count)),
+                  key=natural_key)
+
+
+_TRAILING = re.compile(r"\d+$")
+
+
+def _renaming(draw, ids: list[str], last: str) -> dict[str, str]:
+    """A new id for each of ``ids``: a drawn stem and the old trailing
+    digits, in the old natural order."""
+    ids = sorted(ids, key=natural_key)
+    stems = draw(_stems(len(ids), last))
+    return {old: stem + _TRAILING.search(old).group()
+            for old, stem in zip(ids, stems)}
+
+
+_ID = re.compile(r"\b[GR]\d+\b")
+_NO_DIGITS = str.maketrans("", "", DIGITS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_renaming_the_ids_keeps_every_output(rng, data):
+    model, risk = random_valid_model(rng)
+    # Texts without digits hold no id, so every G<k> or R<k> the output
+    # shows is an id, and renaming the output text is exact.
+    model = model._replace(
+        goals=tuple(g._replace(description=g.description.translate(_NO_DIGITS))
+                    for g in model.goals),
+        requirements=tuple(
+            r._replace(description=r.description.translate(_NO_DIGITS),
+                       metric=r.metric and r.metric.translate(_NO_DIGITS),
+                       connector=r.connector and r.connector.translate(_NO_DIGITS))
+            for r in model.requirements))
+    # Goal stems end in upper case, requirement stems in lower case, so no
+    # new goal id is a new requirement id.
+    new = {**_renaming(data.draw, [g.id for g in model.goals], "ABZ"),
+           **_renaming(data.draw, [r.id for r in model.requirements], "abz")}
+    for ids in ([g.id for g in model.goals], [r.id for r in model.requirements]):
+        assert ([new[i] for i in sorted(ids, key=natural_key)]
+                == sorted((new[i] for i in ids), key=natural_key))
+    renamed = model._replace(
+        goals=tuple(g._replace(id=new[g.id]) for g in model.goals),
+        requirements=tuple(r._replace(id=new[r.id])
+                           for r in model.requirements),
+        rules=tuple(rule._replace(head=new[rule.head],
+                                  body=tuple(new[b] for b in rule.body))
+                    for rule in model.rules),
+        root=new[model.root])
+    renamed_risk = RiskProfile(
+        {new[r]: v for r, v in risk.cost.items()},
+        {new[r]: v for r, v in risk.technical_ability.items()})
+    goals = [g.id for g in model.goals]
+    fis = paps.parse_rulebase(DEFAULT_RULES)
+    expected = [tuple(_ID.sub(lambda m: new[m.group()], text) for text in out)
+                for out in _outputs(model, risk, goals, *fis)]
+    assert _outputs(renamed, renamed_risk, [new[g] for g in goals],
+                    *fis) == expected
