@@ -225,7 +225,9 @@ def main(args: list[str] | None = None, prog_name: str | None = None):
         # and point stdout at devnull so the interpreter's own flush at exit
         # has nowhere to fail
         if sys.stdout is not None:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         sys.exit(1)
     except OSError as exc:  # a model, --rules or --out that cannot be used
         _fail(str(exc), code=2)

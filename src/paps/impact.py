@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from types import MappingProxyType
 
 from . import render
-from .model import CATEGORY_CYCLE, CATEGORY_DUPLICATE, CATEGORY_RANGE, Finding
+from .model import CATEGORY_DUPLICATE, CATEGORY_RANGE, _refuse
 # ``adjacency`` is imported for bench/tracing.py, which wraps it here.
 from .model import SecurityModel, adjacency  # noqa: F401
 
@@ -136,13 +136,6 @@ class ImpactMatrix(namedtuple("ImpactMatrix", "goals requirements rows")):
         sparse writer 27-46 ms (CPython 3.11, 2-vCPU x86-64 host).
         """
         return "".join(self.json_blocks(goals))
-
-
-def _refuse(finding: Finding) -> None:
-    """Raise ``ValueError`` in ``validate``'s words: "subject: message",
-    or the bare message of the cycle."""
-    raise ValueError(finding.message if finding.category == CATEGORY_CYCLE
-                     else f"{finding.subject}: {finding.message}")
 
 
 def _rows(model: SecurityModel) -> dict[str, dict[str, float]]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from functools import cached_property
 
 
@@ -371,19 +371,32 @@ def _model_findings(model: SecurityModel) -> tuple[tuple[Finding, ...], ...]:
     return tuple(findings[:start]), tuple(findings[start:end]), tuple(findings[end:])
 
 
+def _risk_findings(req_id: str, risk: RiskProfile) -> Iterator[Finding]:
+    """One requirement's missing or out-of-[0, 1] cost, then technical
+    ability; NaN is out of range."""
+    for name, table in (("cost", risk.cost),
+                        ("technical ability", risk.technical_ability)):
+        if req_id not in table:
+            yield Finding(CATEGORY_MISSING_RISK, "error", req_id,
+                          f"no {name} value")
+        elif not 0.0 <= table[req_id] <= 1.0:
+            yield Finding(CATEGORY_RANGE, "error", req_id,
+                          f"{name} {table[req_id]} outside [0, 1]")
+
+
+def _refuse(finding: Finding) -> None:
+    """Raise ``ValueError`` in ``validate``'s words: "subject: message",
+    or the bare message of the cycle."""
+    raise ValueError(finding.message if finding.category == CATEGORY_CYCLE
+                     else f"{finding.subject}: {finding.message}")
+
+
 def validate_model(model: SecurityModel, risk: RiskProfile) -> ValidationReport:
     """Check every structural invariant; never raises, always reports."""
     nodes, rules, graph = model._findings
     by_id = list(rules)
     for req in model.requirements:
-        for name, table in (("cost", risk.cost),
-                            ("technical ability", risk.technical_ability)):
-            if req.id not in table:
-                by_id.append(Finding(CATEGORY_MISSING_RISK, "error", req.id,
-                                     f"no {name} value"))
-            elif not 0.0 <= table[req.id] <= 1.0:
-                by_id.append(Finding(CATEGORY_RANGE, "error", req.id,
-                                     f"{name} {table[req.id]} outside [0, 1]"))
+        by_id.extend(_risk_findings(req.id, risk))
     # The model's findings are found once; the risk findings join its rule
     # findings in id order, after them on an equal id (a stable sort).
     by_id.sort(key=lambda f: natural_key(f.subject))

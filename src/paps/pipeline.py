@@ -10,7 +10,7 @@ from .fcl import check_inputs
 from .fuzzy import (NoActivationError, RuleBase, UniverseError, VariableConfig,
                     defuzzify_cog, fuzzify, infer, label, short_label)
 from .impact import build_srl
-from .model import RiskProfile, SecurityModel
+from .model import RiskProfile, SecurityModel, _refuse, _risk_findings
 
 
 class PrioritizedEntry(namedtuple(
@@ -39,8 +39,9 @@ def prioritize(model: SecurityModel, risk: RiskProfile, goal: str,
     term and the entry is flagged rather than dropped. The inputs bind to
     the rule base's variables by name, not by declaration order. A model
     that ``validate_model`` reports an error for raises ``ValueError``
-    with the first such error's text (see ``build_srl``), and so does a
-    contributing requirement with no cost or no technical ability value.
+    with the first such error's text (see ``build_srl``), and so does the
+    first contributing requirement with a cost or technical ability value
+    that is missing or outside [0, 1] (``R2: no cost value``).
 
     Each distinct ``(impact, cost, tech)`` triple is scored once per rule
     base and config (see ``RuleBase``) by ``fuzzify``, ``infer``,
@@ -54,18 +55,17 @@ def prioritize(model: SecurityModel, risk: RiskProfile, goal: str,
         check_inputs(config)  # a config that fails never gets a memo
         memo = {}
         held[0] = (config, memo)
-    costs, techs = risk.cost, risk.technical_ability
+    cost_of, tech_of = risk.cost.get, risk.technical_ability.get
     entries: list[PrioritizedEntry] = []
     for req_id, impact_value in build_srl(model, goal):
-        try:
-            cost = costs[req_id]
-            tech = techs[req_id]
-        except KeyError:
-            name = "technical ability" if req_id in costs else "cost"
-            raise ValueError(f"requirement {req_id}: no {name} value") from None
-        triple = (impact_value, cost, tech)  # -0.0 and 0.0 fuzzify alike
+        cost, tech = cost_of(req_id), tech_of(req_id)
+        # -0.0 and 0.0 fuzzify alike; a missing (None), NaN or out-of-range
+        # value is refused below, so it is never stored and always misses
+        triple = (impact_value, cost, tech)
         score = memo.get(triple)
         if score is None:
+            for finding in _risk_findings(req_id, risk):
+                _refuse(finding)
             try:
                 fuzzified = fuzzify(config, {"impact": impact_value,
                                              "cost": cost, "tech": tech})

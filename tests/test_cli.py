@@ -410,6 +410,40 @@ class TestCommandLineSurface:
         assert result.returncode == 1
         assert result.stderr == b""
 
+    def test_closed_stdout_leaves_no_descriptor_open(self, obs_path):
+        # main points stdout at devnull after a closed pipe; run in process
+        # three times, each into a fresh closed pipe, it must keep the
+        # number of open descriptors.
+        script = (
+            "import os, sys, paps.cli\n"
+            "def open_fds():\n"
+            "    count = 0\n"
+            "    for fd in range(256):\n"
+            "        try:\n"
+            "            os.fstat(fd)\n"
+            "        except OSError:\n"
+            "            continue\n"
+            "        count += 1\n"
+            "    return count\n"
+            "for _ in range(3):\n"
+            "    read_end, write_end = os.pipe()\n"
+            "    os.close(read_end)\n"
+            "    os.dup2(write_end, 1)\n"
+            "    os.close(write_end)\n"
+            "    try:\n"
+            f"        paps.cli.main(['impacts', {obs_path!r}])\n"
+            "    except SystemExit as exc:\n"
+            "        print(exc.code, open_fds(), file=sys.stderr)\n")
+        src = Path(paps.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c", script], stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        runs = [line.split() for line in result.stderr.splitlines()]
+        assert len(runs) == 3, result.stderr
+        assert {code for code, _ in runs} == {"1"}
+        assert len({count for _, count in runs}) == 1, runs
+
     def test_ascii_stdout_writes_utf8(self, obs_path):
         utf8 = _run_module("relax", obs_path, capture_output=True)
         forced = _run_module("relax", obs_path, capture_output=True,

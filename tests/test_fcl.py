@@ -33,6 +33,18 @@ RULEBLOCK
 END_RULEBLOCK
 """
 
+# the output block and the rule block of SMALL
+_OUTPUT = SMALL[SMALL.index("VAR_OUTPUT"):SMALL.index("RULEBLOCK")]
+_RULES = SMALL[SMALL.index("RULEBLOCK"):]
+
+
+def _without(*parts: str) -> str:
+    """SMALL with the first occurrence of each part taken out."""
+    text = SMALL
+    for part in parts:
+        text = text.replace(part, "", 1)
+    return text
+
 
 class TestParseRulebase:
     def test_default_rulebase_shape(self):
@@ -126,6 +138,41 @@ class TestParseRulebase:
             parse_rulebase(text)
         assert (exc.value.line, exc.value.column) == (line, 5)
         assert exc.value.message == message
+
+    @pytest.mark.parametrize("text,line,column,message", [
+        (SMALL.replace("    TERM low", "    RANGE := (0.0 .. 1.0);\n"
+                       "    TERM low", 1), 3, 5, "RANGE declared twice"),
+        (SMALL.replace("TERM high", "TERM low", 1), 4, 5,
+         "duplicate term impact.low"),
+        (_without("    RANGE := (0.0 .. 1.0);\n"), 4, 1,
+         "variable impact has no RANGE"),
+        (_without("    TERM low := (0, 0, 0.25, 0.5);\n"
+                  "    TERM high := (0.5, 0.75, 1, 1);\n"), 3, 1,
+         "variable impact has no terms"),
+        (SMALL.replace("VAR_INPUT cost", "VAR_INPUT impact"), 10, 1,
+         "duplicate variable impact"),
+        (SMALL.replace("THEN priority", "THEN urgency"), 22, 5,
+         "undeclared output variable 'urgency'"),
+        (SMALL.replace("IS strong;", "IS urgent;"), 22, 5,
+         "undeclared term priority.urgent"),
+        ("  BOGUS\n" + SMALL, 1, 3,
+         "expected VAR_INPUT, VAR_OUTPUT, or RULEBLOCK"),
+        (_without(_OUTPUT), 16, 1, "RULEBLOCK before the output variable"),
+        (_without("END_RULEBLOCK\n"), 23, 1, "unterminated rules block"),
+        (_without(_OUTPUT, _RULES), 1, 1, "no output variable declared"),
+        (_OUTPUT + "RULEBLOCK\nEND_RULEBLOCK\n", 1, 1,
+         "no input variables declared"),
+        (_without(_RULES) + "RULEBLOCK\nEND_RULEBLOCK\n", 1, 1,
+         "no rules declared"),
+    ], ids=["range-twice", "duplicate-term", "no-range", "no-terms",
+            "duplicate-variable", "undeclared-output-variable",
+            "undeclared-output-term", "stray-line", "rules-before-output",
+            "unterminated-rules", "no-output", "no-inputs", "no-rules"])
+    def test_refusals_at_their_position(self, text, line, column, message):
+        with pytest.raises(FclError) as exc:
+            parse_rulebase(text)
+        assert (exc.value.line, exc.value.column, exc.value.message) == (
+            line, column, message)
 
     def test_second_output_variable_rejected_at_its_end_var(self):
         urgency = ("VAR_OUTPUT urgency\n    RANGE := (0.0 .. 1.0);\n"

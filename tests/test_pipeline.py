@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from collections import Counter
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import paps
 from generators import strong_rules_only
-from obs_tables import EXPECTED_SUPPORT, GOAL_IDS
+from obs_tables import EXPECTED_SUPPORT, GOAL_IDS, REQ_IDS
 from paps.fcl import FclError, parse_rulebase
 from paps.fuzzy import (LinguisticVariable, UniverseError, VariableConfig,
                         label)
@@ -377,4 +378,79 @@ class TestInputBinding:
         assert (finding.subject, finding.message) == (req, message)
         with pytest.raises(ValueError) as exc:
             call(model, broken, "S", *default_fis)
-        assert str(exc.value) == f"requirement {req}: {message}"
+        assert str(exc.value) == f"{req}: {message}"
+
+
+def cost_up_to_two_rules() -> str:
+    """The default rules with the cost universe widened to [0, 2]."""
+    return paps.default_rules_text().replace(
+        "VAR_INPUT cost\n    RANGE := (0.0 .. 1.0);",
+        "VAR_INPUT cost\n    RANGE := (0.0 .. 2.0);")
+
+
+DEFECTS = {"missing": None, "nan": math.nan, "above": 1.5, "below": -0.25}
+
+
+def _outcome(call, *args):
+    """What ``call(*args)`` returns, or the name and text of the ValueError
+    it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestRiskRefusal:
+    """prioritize and relax_srl refuse a contributing requirement's risk
+    value with validate_model's own finding, whatever the memo holds."""
+
+    def test_cost_inside_a_wider_universe_is_still_refused(self, obs):
+        model, risk = obs
+        config, rulebase = parse_rulebase(cost_up_to_two_rules())
+        broken = RiskProfile({**risk.cost, "R1": 1.5},
+                             risk.technical_ability)
+        assert [str(f) for f in paps.validate_model(model, broken).errors] \
+            == ["error [range] R1: cost 1.5 outside [0, 1]"]
+        for call in (prioritize, relax_srl, prioritize):
+            with pytest.raises(ValueError) as exc:
+                call(model, broken, "S", config, rulebase)
+            assert str(exc.value) == "R1: cost 1.5 outside [0, 1]"
+        # the same rule base still scores the valid costs
+        assert prioritize(model, risk, "S", config, rulebase)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(
+        st.tuples(st.sampled_from(REQ_IDS),
+                  st.sampled_from(["cost", "technical_ability"])),
+        st.sampled_from(list(DEFECTS)), max_size=4),
+        st.sampled_from(GOAL_IDS))
+    def test_refused_exactly_when_a_contributor_has_a_finding(
+            self, obs, defects, goal):
+        model, risk = obs
+        tables = {name: dict(table) for name, table in risk._asdict().items()}
+        for (req, table), defect in defects.items():
+            if defect == "missing":
+                del tables[table][req]
+            else:
+                tables[table][req] = DEFECTS[defect]
+        broken = RiskProfile(**tables)
+        errors = paps.validate_model(model, broken).errors
+        # the first contributing requirement, in build_srl order, with a
+        # finding, and its first finding: cost before technical ability
+        expected = next((("ValueError", f"{req}: {f.message}")
+                         for req, _ in paps.build_srl(model, goal)
+                         for f in errors if f.subject == req), None)
+        config, cold = paps.load_default_rulebase()
+        _, warm = paps.load_default_rulebase()
+        for g in GOAL_IDS:  # the warm memo holds every valid OBS triple
+            relax_srl(model, risk, g, config, warm)
+        for call in (prioritize, relax_srl):
+            outcomes = [_outcome(call, model, broken, goal, config, rulebase)
+                        for rulebase in (cold, warm, cold, warm)]
+            assert outcomes == [outcomes[0]] * 4
+            # no contributor is broken: the answer of the intact profile
+            assert outcomes[0] == (expected or call(model, risk, goal,
+                                                    config, warm))
+        for rulebase in (cold, warm):  # nothing refused was stored
+            for _, cost, tech in rulebase._scores[0][1]:
+                assert 0.0 <= cost <= 1.0 and 0.0 <= tech <= 1.0

@@ -51,6 +51,12 @@ class TestRelaxRequirement:
         assert exc.value.requirement == "R6"
         assert "R6" in str(exc.value)
 
+    @pytest.mark.parametrize("rds", [-0.01, 1.01, math.nan])
+    def test_rds_outside_unit_is_refused(self, rds):
+        with pytest.raises(ValueError) as exc:
+            relax_requirement(Requirement("R3", "x", metric="m"), rds)
+        assert str(exc.value) == f"rds {rds} outside [0, 1]"
+
     def test_coefficient_round_trips_from_text(self):
         rng = random.Random(11)
         for _ in range(200):
