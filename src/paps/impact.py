@@ -174,19 +174,16 @@ def impact_matrix(model: SecurityModel) -> ImpactMatrix:
 def build_srl(model: SecurityModel,
               goal: str) -> tuple[tuple[str, float], ...]:
     """(requirement, impact) for every requirement with positive impact on
-    the goal, strongest first. A model that ``validate_model`` reports
-    an error for is refused with the first error, before the goal is
-    looked up (``P3: requirement R1 used as rule head``)."""
+    the goal, strongest first, ties in natural requirement id order. A
+    model that ``validate_model`` reports an error for is refused with the
+    first error, before the goal is looked up (``P3: requirement R1 used
+    as rule head``)."""
     nodes, rules, graph = model._findings
     for finding in (*nodes, *rules, *graph[:1]):  # the errors come first
         if finding.severity == "error":
             _refuse(finding)
     if goal not in model._goals_by_id:
         raise KeyError(f"unknown goal {goal!r}")
-    row = model.graph.impact_rows.get(goal, _NO_CELLS)
-    # Requirements in natural id order, then a stable sort: strongest first,
-    # ties in natural id order.
-    entries = [(r.id, row[r.id])
-               for r in model._sorted_requirements if r.id in row]
-    entries.sort(key=lambda e: -e[1])
-    return tuple(entries)
+    rank = model._requirement_ranks
+    return tuple(sorted(model.graph.impact_rows.get(goal, _NO_CELLS).items(),
+                        key=lambda e: (-e[1], rank[e[0]])))

@@ -19,10 +19,11 @@ _DIGIT_RUN = re.compile(r"(\d+)")
 
 def natural_key(node_id: str) -> tuple:
     """Sort key treating digit runs numerically, so R2 < R10. Text and
-    numbers alternate, text first (maybe empty), so any two keys compare."""
+    numbers alternate, text first (maybe empty), so any two keys compare;
+    the id's own text breaks a tie (R01 < R1), so no two ids share a key."""
     parts = _DIGIT_RUN.split(node_id)
     parts[1::2] = map(int, parts[1::2])
-    return tuple(parts)
+    return tuple(parts), node_id
 
 
 # The records are named tuples: immutable, compared and hashed by value,
@@ -130,16 +131,8 @@ class SecurityModel(Frozen, namedtuple(
 
     @cached_property
     def _requirement_ranks(self) -> dict[str, int]:
-        """Requirement id -> its place in natural id order; ids with equal
-        natural keys (R1, R01) share a place."""
-        ranks: dict[str, int] = {}
-        rank, last = -1, None
-        for r in self._sorted_requirements:
-            key = natural_key(r.id)
-            if key != last:
-                rank, last = rank + 1, key
-            ranks[r.id] = rank
-        return ranks
+        """Requirement id -> its place in natural id order."""
+        return {r.id: i for i, r in enumerate(self._sorted_requirements)}
 
     @cached_property
     def graph(self) -> ModelGraph:
@@ -310,17 +303,26 @@ class ValidationReport(namedtuple("ValidationReport", "findings",
         return not self.errors
 
 
+def _in_unit(value: object) -> bool:
+    """0 <= value <= 1; NaN and a value that does not compare with floats
+    (a string, None) are outside."""
+    try:
+        return 0.0 <= value <= 1.0  # type: ignore[operator]
+    except TypeError:
+        return False
+
+
 def _model_findings(model: SecurityModel) -> tuple[tuple[Finding, ...], ...]:
     """``validate_model``'s findings that need no risk data, in three runs:
     node ids and the root, rules in natural id order, then the graph (the
     cycle, an error, or the unreachable nodes, warnings)."""
     findings: list[Finding] = []
-    declared: dict[str, None] = {}  # in declaration order, for equal keys
+    declared: set[str] = set()
     for node_id in [g.id for g in model.goals] + [r.id for r in model.requirements]:
         if node_id in declared:
             findings.append(Finding(CATEGORY_DUPLICATE, "error", node_id,
                                     "declared more than once"))
-        declared[node_id] = None
+        declared.add(node_id)
 
     goal_ids = model.goal_ids()
     req_ids = model.requirement_ids()
@@ -333,6 +335,7 @@ def _model_findings(model: SecurityModel) -> tuple[tuple[Finding, ...], ...]:
                                 "root node must be a goal"))
 
     start = len(findings)
+    degrees_ok = True
     seen_rule_ids: set[str] = set()
     for rule in model.rules:
         if rule.id in seen_rule_ids:
@@ -349,19 +352,21 @@ def _model_findings(model: SecurityModel) -> tuple[tuple[Finding, ...], ...]:
             if child not in declared:
                 findings.append(Finding(CATEGORY_DANGLING, "error", rule.id,
                                         f"rule body element {child} is not declared"))
-        if not 0.0 <= rule.degree <= 1.0:
+        if not _in_unit(rule.degree):
+            degrees_ok = False
             findings.append(Finding(CATEGORY_RANGE, "error", rule.id,
-                                    f"degree {rule.degree} outside [0, 1]"))
+                                    f"degree {rule.degree!r} outside [0, 1]"))
     # id order, not declaration order; sorting findings, not rules, is cheap
     findings[start:] = sorted(findings[start:], key=lambda f: natural_key(f.subject))
     end = len(findings)
 
-    cycle = model.graph.cycle
+    # The graph compares the degrees, so it is read only if all lie in [0, 1].
+    cycle = model.graph.cycle if degrees_ok else None
     if cycle is not None:
         findings.append(Finding(CATEGORY_CYCLE, "error", cycle[0],
                                 "derivation cycle: " + " -> ".join(cycle)))
 
-    if model.root in goal_ids and cycle is None:
+    if model.root in goal_ids and degrees_ok and cycle is None:
         reachable = model.graph.reachable(model.root)
         for node_id in sorted([i for i in declared if i not in reachable],
                               key=natural_key):
@@ -379,9 +384,9 @@ def _risk_findings(req_id: str, risk: RiskProfile) -> Iterator[Finding]:
         if req_id not in table:
             yield Finding(CATEGORY_MISSING_RISK, "error", req_id,
                           f"no {name} value")
-        elif not 0.0 <= table[req_id] <= 1.0:
+        elif not _in_unit(table[req_id]):
             yield Finding(CATEGORY_RANGE, "error", req_id,
-                          f"{name} {table[req_id]} outside [0, 1]")
+                          f"{name} {table[req_id]!r} outside [0, 1]")
 
 
 def _refuse(finding: Finding) -> None:

@@ -41,7 +41,8 @@ def prioritize(model: SecurityModel, risk: RiskProfile, goal: str,
     that ``validate_model`` reports an error for raises ``ValueError``
     with the first such error's text (see ``build_srl``), and so does the
     first contributing requirement with a cost or technical ability value
-    that is missing or outside [0, 1] (``R2: no cost value``).
+    that is missing or outside [0, 1], as a value that is not a number is
+    (``R2: no cost value``, ``R1: cost '0.5' outside [0, 1]``).
 
     Each distinct ``(impact, cost, tech)`` triple is scored once per rule
     base and config (see ``RuleBase``) by ``fuzzify``, ``infer``,
@@ -82,8 +83,6 @@ def prioritize(model: SecurityModel, risk: RiskProfile, goal: str,
             score = memo[triple] = (rds, term, short_label(term), no_activation)
         entries.append(PrioritizedEntry(goal, req_id, impact_value, cost, tech,
                                         *score))
-    # ids of equal natural key (R1, R01) share a rank, so this stable sort
-    # orders ties as a sort on natural_key would.
     rank = model._requirement_ranks
     entries.sort(key=lambda e: (-e.rds, rank[e.requirement]))
     return entries

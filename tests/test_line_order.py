@@ -27,6 +27,13 @@ TWO_BAD_RULES = (
     "rule P3: R2 -> G1 @ 0.5\n"
 )
 
+# R01 and R1 have equal digit runs, and the same impact and RDS under G13
+EQUAL_KEYS = (
+    'req R01 "achieve request transaction code again" cost=0.5 tech=1.0\n'
+    "rule P22: G13 -> R01 @ 0.7\n"
+    "rule P23: G13 -> R1 @ 0.7\n"
+)
+
 
 def _shuffled(text: str, rng: random.Random) -> str:
     lines = text.splitlines()
@@ -61,6 +68,7 @@ def _outputs(text: str, commands, path) -> list[tuple[int, str, str]]:
     pytest.param(bench_gen.obs_cyclic_variant(0), False, id="cyclic"),
     pytest.param(paps.obs_fixture_text() + "rule P21: R5 -> G13 @ 0.5\n",
                  False, id="requirement-head"),
+    pytest.param(paps.obs_fixture_text() + EQUAL_KEYS, True, id="equal-keys"),
     pytest.param(TWO_BAD_RULES, False, id="two-bad-rules"),
 ])
 def test_outputs_do_not_depend_on_line_order(text, valid, tmp_path):

@@ -3,7 +3,7 @@ import re
 from typing import Iterator, Mapping
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import paps
 from paps.impact import build_srl, impact, impact_matrix
@@ -125,13 +125,14 @@ class TestValidateModel:
         assert all(f.category == "unreachable-node" for f in report.warnings)
 
     @pytest.mark.parametrize("ids", [("R1", "R01"), ("R01", "R1")])
-    def test_unreachable_ids_with_equal_keys_in_declaration_order(self, ids):
-        # Not in the order of a set, which varies with the hash seed.
+    def test_unreachable_ids_with_equal_keys_in_text_order(self, ids):
+        # Not in the order of a set, which varies with the hash seed, nor
+        # in declaration order.
         model = SecurityModel((Goal("S"),), tuple(map(Requirement, ids)),
                               (), "S")
         report = validate_model(model, RiskProfile(dict.fromkeys(ids, 0.5),
                                                    dict.fromkeys(ids, 0.5)))
-        assert [f.subject for f in report.warnings] == list(ids)
+        assert [f.subject for f in report.warnings] == ["R01", "R1"]
 
     def test_validated_obs_values_all_in_range(self, obs):
         model, risk = obs
@@ -140,6 +141,36 @@ class TestValidateModel:
             assert 0.0 <= rule.degree <= 1.0
         for table in (risk.cost, risk.technical_ability):
             assert all(0.0 <= v <= 1.0 for v in table.values())
+
+
+class TestValuesThatAreNotNumbers:
+    """A risk value or a degree that does not compare with floats is out
+    of range: ``validate_model`` reports it, and the library refuses it
+    with that text."""
+
+    @pytest.mark.parametrize("cost, degree, text", [
+        ("0.5", 0.9, "R1: cost '0.5' outside [0, 1]"),
+        (None, 0.9, "R1: cost None outside [0, 1]"),
+        (0.5, "0.5", "P3: degree '0.5' outside [0, 1]"),
+    ], ids=["cost-text", "cost-none", "degree-text"])
+    def test_reported_and_refused(self, obs, default_fis, cost, degree, text):
+        model, risk = obs  # R1 costs 0.5; P3: G13 -> R12 @ 0.9
+        model = model._replace(rules=tuple(
+            r._replace(degree=degree) if r.id == "P3" else r
+            for r in model.rules))
+        risk = risk._replace(cost={**risk.cost, "R1": cost})
+        report = validate_model(model, risk)
+        assert [str(f) for f in report.findings] == [f"error [range] {text}"]
+        calls = [lambda: paps.prioritize(model, risk, "S", *default_fis),
+                 lambda: paps.relax_srl(model, risk, "S", *default_fis)]
+        if text.startswith("P3"):
+            calls += [lambda: build_srl(model, "S"),
+                      lambda: impact(model, "S", "R12"),
+                      lambda: impact_matrix(model)]
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == text
 
 
 class TestCyclicModelsRaise:
@@ -324,17 +355,21 @@ LETTER_FIRST_IDS = st.builds(
 class TestNaturalKey:
     def test_digit_runs_compare_as_numbers(self):
         assert natural_key("R2") < natural_key("R10")
-        assert natural_key("R1") == natural_key("R01")
+        assert natural_key("R01") < natural_key("R1")
         assert natural_key("1A") < natural_key("A1") < natural_key("A1b")
 
     @given(LETTER_FIRST_IDS, LETTER_FIRST_IDS)
+    @example("R1", "R01")
     def test_letter_first_ids_compare_as_before(self, a, b):
+        """Keys are equal only for equal ids, and where the old keys
+        differ the order agrees with them."""
         old_a, old_b = _letter_first_key(a), _letter_first_key(b)
-        assert (natural_key(a) < natural_key(b)) == (old_a < old_b)
-        assert (natural_key(a) == natural_key(b)) == (old_a == old_b)
+        assert (natural_key(a) == natural_key(b)) == (a == b)
+        if old_a != old_b:
+            assert (natural_key(a) < natural_key(b)) == (old_a < old_b)
 
-    @given(st.lists(st.text()
-                    | st.sampled_from(["", "1A", "A1", "R1\u00b2", "\u0661"])))
+    @given(st.lists(st.text() | st.sampled_from(
+        ["", "1A", "A1", "R1\u00b2", "\u0661", "R1", "R01"])))
     def test_any_ids_sort(self, ids):
         keys = [natural_key(i) for i in sorted(ids, key=natural_key)]
         assert all(a <= b for a, b in zip(keys, keys[1:]))

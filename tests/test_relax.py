@@ -120,15 +120,15 @@ class TestRelaxAgreesWithPrioritize:
         assert (fallbacks > 0) == gaps
 
     @pytest.mark.parametrize("ids, degrees, expected", [
-        (["R10", "R1", "R2", "R01"], [0.5] * 4, ["R1", "R01", "R2", "R10"]),
+        (["R10", "R1", "R2", "R01"], [0.5] * 4, ["R01", "R1", "R2", "R10"]),
         (["R01", "R2", "R1", "R10"], [0.5] * 4, ["R01", "R1", "R2", "R10"]),
         # impacts 0.8 and 0.9 both lie in the core of ``high``, so the RDS
-        # ties and the stronger impact, listed first by build_srl, stays first
+        # ties, and the id's text orders the tie whatever the impacts
         (["R1", "R01"], [0.8, 0.9], ["R01", "R1"]),
-        (["R01", "R1"], [0.8, 0.9], ["R1", "R01"]),
+        (["R01", "R1"], [0.8, 0.9], ["R01", "R1"]),
     ], ids=["R1-declared-first", "R01-declared-first", "R01-stronger",
             "R1-stronger"])
-    def test_ids_with_equal_natural_keys_keep_their_order(
+    def test_ids_with_equal_natural_keys_sort_by_the_text(
             self, default_fis, ids, degrees, expected):
         model = SecurityModel(
             (Goal("G1"),), tuple(Requirement(i, "d", "m") for i in ids),
