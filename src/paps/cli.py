@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import functools
 import io
 import os
 import sys
@@ -173,9 +174,29 @@ class _Parser(argparse.ArgumentParser):
         super()._print_message(message, file)
 
 
+def _help_width() -> int:
+    """The width argparse's help formatter would use: the columns that
+    ``shutil.get_terminal_size`` finds (``COLUMNS``, else the terminal on
+    ``sys.__stdout__``, else 80), less two. Found here once per parser, as
+    the formatter itself imports ``shutil`` and asks the terminal again for
+    every argument added."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return (columns or 80) - 2
+
+
 def _parser(prog: str) -> argparse.ArgumentParser:
+    formatter = functools.partial(argparse.HelpFormatter, width=_help_width())
     parser = _Parser(
         prog=prog, add_help=False, allow_abbrev=False,
+        formatter_class=formatter,
         description="Prioritize and partially select security requirements "
                     "of a goal model.")
     parser.add_argument("--version", action="version",
@@ -188,7 +209,7 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     for name, (body, options, formats) in _COMMANDS.items():
         command = commands.add_parser(
             name, help=body.__doc__, description=body.__doc__,
-            add_help=False, allow_abbrev=False)
+            add_help=False, allow_abbrev=False, formatter_class=formatter)
         command.set_defaults(body=body)
         command.add_argument("model_path", metavar="MODEL",
                              help="Model file (.srm).")

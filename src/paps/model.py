@@ -142,6 +142,12 @@ class SecurityModel(Frozen, namedtuple(
     def _findings(self) -> tuple[tuple[Finding, ...], ...]:
         return _model_findings(self)
 
+    @cached_property
+    def _statement_parts(self) -> dict[str, tuple[str, ...]]:
+        """Requirement id -> the parts of its relaxed statement that do not
+        depend on the RDS, each added by ``paps.relax`` on its first use."""
+        return {}
+
 
 class RiskProfile(namedtuple("RiskProfile", "cost technical_ability")):
     """Per-requirement cost and technical-ability, both in [0, 1]."""

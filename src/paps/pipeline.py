@@ -57,6 +57,9 @@ def prioritize(model: SecurityModel, risk: RiskProfile, goal: str,
         memo = {}
         held[0] = (config, memo)
     cost_of, tech_of = risk.cost.get, risk.technical_ability.get
+    # every field is given and the record checks nothing, so the tuple's own
+    # constructor stands in for the named tuple's slower Python one
+    new_entry = tuple.__new__
     entries: list[PrioritizedEntry] = []
     for req_id, impact_value in build_srl(model, goal):
         cost, tech = cost_of(req_id), tech_of(req_id)
@@ -81,8 +84,8 @@ def prioritize(model: SecurityModel, risk: RiskProfile, goal: str,
                 no_activation = True
             term = label(output, rds)
             score = memo[triple] = (rds, term, short_label(term), no_activation)
-        entries.append(PrioritizedEntry(goal, req_id, impact_value, cost, tech,
-                                        *score))
+        entries.append(new_entry(PrioritizedEntry,
+                                 (goal, req_id, impact_value, cost, tech) + score))
     rank = model._requirement_ranks
     entries.sort(key=lambda e: (-e.rds, rank[e.requirement]))
     return entries
@@ -93,8 +96,9 @@ REPORT_FIELDS = ("goal", "requirement", "impact", "cost", "tech", "rds", "label"
 
 def report_cells(entries: list[PrioritizedEntry]) -> Iterator[list[str]]:
     """One row of formatted cells per entry, in ``REPORT_FIELDS`` order."""
-    return ([e.goal, e.requirement, f"{e.impact:.2f}", f"{e.cost:.2f}",
-             f"{e.tech:.2f}", f"{e.rds:.4f}", e.label] for e in entries)
+    return ([goal, req_id, f"{impact:.2f}", f"{cost:.2f}", f"{tech:.2f}",
+             f"{rds:.4f}", label]
+            for goal, req_id, impact, cost, tech, rds, _, label, _ in entries)
 
 
 def report_table(entries: list[PrioritizedEntry]) -> str:

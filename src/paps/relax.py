@@ -48,24 +48,52 @@ def _ov_symbol(req_id: str) -> str:
     return f"OV_{m.group(1)}" if m else f"OV_{req_id}"
 
 
-def relax_requirement(req: Requirement, rds: float) -> RelaxedStatement:
+def _parts(req: Requirement) -> tuple[str, str, str, str, str, str]:
+    """Everything of ``req``'s statement but its RDS: id, metric,
+    connector, OV symbol, and the rendered text before and after the RDS."""
     if req.metric is None:
         raise RenderError(req.id,
                           f"requirement {req.id} has no satisfaction metric")
-    if not 0.0 <= rds <= 1.0:
-        raise ValueError(f"rds {rds} outside [0, 1]")
     connector = req.connector or DEFAULT_CONNECTOR
     ov = _ov_symbol(req.id) if req.ov is None else format_number(req.ov)
-    rendered = (f"{req.id}: {req.description} [{req.metric}] "
-                f"{connector} {rds:.2f} × {ov}")
-    return RelaxedStatement(req.id, req.metric, connector, rds, ov, rendered)
+    return (req.id, req.metric, connector, ov,
+            f"{req.id}: {req.description} [{req.metric}] {connector} ",
+            f" × {ov}")
+
+
+def _statement(parts: tuple[str, str, str, str, str, str],
+               rds: float) -> RelaxedStatement:
+    if not 0.0 <= rds <= 1.0:
+        raise ValueError(f"rds {rds} outside [0, 1]")
+    req_id, metric, connector, ov, before, after = parts
+    # built as ``prioritize`` builds its entries: every field is given
+    return tuple.__new__(RelaxedStatement, (
+        req_id, metric, connector, rds, ov, f"{before}{rds:.2f}{after}"))
+
+
+def relax_requirement(req: Requirement, rds: float) -> RelaxedStatement:
+    return _statement(_parts(req), rds)
 
 
 def relax_srl(model: SecurityModel, risk: RiskProfile, goal: str,
               config: VariableConfig, rulebase: RuleBase) -> list[RelaxedStatement]:
-    """One relaxed statement per ``prioritize`` entry, in its order."""
-    return [relax_requirement(model.requirement(e.requirement), e.rds)
-            for e in prioritize(model, risk, goal, config, rulebase)]
+    """One relaxed statement per ``prioritize`` entry, in its order, as
+    ``relax_requirement`` gives it.
+
+    The parts of a statement that do not depend on the RDS are built once
+    per model, on a requirement's first statement, and kept on the model.
+    A requirement without a metric is never kept, so it raises
+    ``RenderError`` on every call in which it contributes.
+    """
+    kept = model._statement_parts
+    statements = []
+    for _, req_id, _, _, _, rds, _, _, _ in prioritize(model, risk, goal,
+                                                       config, rulebase):
+        parts = kept.get(req_id)
+        if parts is None:
+            parts = kept[req_id] = _parts(model.requirement(req_id))
+        statements.append(_statement(parts, rds))
+    return statements
 
 
 def relax_text(statements: list[RelaxedStatement]) -> str:

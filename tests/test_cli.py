@@ -1,3 +1,4 @@
+import argparse
 import codecs
 import io
 import json
@@ -466,6 +467,34 @@ class TestCommandLineSurface:
             env=dict(os.environ, PYTHONPATH=str(src)))
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
+
+    def test_parsing_a_command_line_leaves_shutil_unloaded(self, obs_path):
+        # argparse's own help formatter imports shutil (and with it zlib,
+        # bz2 and lzma) to find the terminal width, once per argument added
+        src = Path(paps.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", "import sys, paps.cli; "
+             f"paps.cli._parser('paps').parse_args(['relax', {obs_path!r}, "
+             "'--format', 'json']); print('shutil' in sys.modules)"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
+
+    @pytest.mark.parametrize("columns", [None, "40", "80", "200", "0", "x"])
+    def test_help_is_argparse_own(self, runner, monkeypatch, columns):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        helps = [["--help"], *([command, "--help"] for command in OPTIONS)]
+        ours = [_invoke(runner, *args).stdout for args in helps]
+        # argparse's default formatter, which finds the width itself
+        monkeypatch.setattr(
+            argparse.ArgumentParser, "_get_formatter",
+            lambda parser, *args, **kwargs: argparse.HelpFormatter(parser.prog))
+        assert ours == [_invoke(runner, *args).stdout for args in helps]
+        assert all(ours)
 
     def test_interrupt_exits_one_with_aborted(self, runner, obs_path,
                                               monkeypatch):

@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 import paps
 from generators import strong_rules_only
 from obs_tables import EXPECTED_SUPPORT, GOAL_IDS, REQ_IDS
+from paps import render
 from paps.fcl import FclError, parse_rulebase
 from paps.fuzzy import (LinguisticVariable, UniverseError, VariableConfig,
                         label)
 from paps.model import RiskProfile
-from paps.pipeline import prioritize, report_csv, report_json
+from paps.pipeline import (REPORT_FIELDS, PrioritizedEntry, prioritize,
+                           report_csv, report_json, report_table)
 from paps.relax import relax_json, relax_requirement, relax_srl
 
 
@@ -272,7 +274,22 @@ class TestScoreMemo:
         assert {e.requirement: e.rds for e in after}["R1"] != before["R1"]
 
 
+_ids = st.text(st.sampled_from("GRS019"), min_size=1, max_size=4)
+_entries_drawn = st.lists(st.builds(
+    PrioritizedEntry, _ids, _ids, st.floats(), st.floats(), st.floats(),
+    st.floats(), st.sampled_from(["weak", "strong"]), st.sampled_from("WS"),
+    st.booleans()), max_size=6)
+
+
 class TestReports:
+    @given(_entries_drawn)
+    def test_writers_match_cells_formatted_field_by_field(self, entries):
+        cells = [[e.goal, e.requirement, format(e.impact, ".2f"),
+                  format(e.cost, ".2f"), format(e.tech, ".2f"),
+                  format(e.rds, ".4f"), e.label] for e in entries]
+        assert report_csv(entries) == render.csv(REPORT_FIELDS, cells)
+        assert report_table(entries) == render.table(REPORT_FIELDS, cells)
+
     def test_csv_fields(self, obs, default_fis):
         model, risk = obs
         entries = prioritize(model, risk, "G3", *default_fis)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import paps
-from generators import strong_rules_only
+from generators import bench_gen, strong_rules_only
 from obs_tables import EXPECTED_METRICS, GOAL_IDS, REQ_IDS
 from paps.fcl import parse_rulebase
 from paps.fuzzy import UniverseError
@@ -15,6 +15,7 @@ from paps.model import (DerivationRule, Goal, Requirement, RiskProfile,
 from paps.pipeline import prioritize
 from paps.relax import (DeviationMembership, RenderError, default_deviation,
                         deviation_degree, relax_requirement, relax_srl)
+from paps.srm import format_number
 
 _COEFF_RE = re.compile(r" (\d\.\d{2}) × ")
 
@@ -156,6 +157,88 @@ class TestRelaxAgreesWithPrioritize:
         assert messages[0] == messages[1]
         assert re.fullmatch(r"requirement R\d+: cost=0.05 outside "
                             r"universe \[0.1, 1.0\]", messages[0])
+
+
+def _layered_text() -> str:
+    return bench_gen.layered_model(7, 200, 500, layers=8,
+                                   continuous_risk=True).text
+
+
+def _with_bare_requirement(model, risk, *heads):
+    """The model plus ``R99``, which has no metric, as a child of each of
+    ``heads`` (none: it contributes to no goal)."""
+    return (SecurityModel(
+        model.goals, model.requirements + (Requirement("R99", "bare"),),
+        model.rules + tuple(DerivationRule(f"P9{k}", head, ("R99",), 0.7)
+                            for k, head in enumerate(heads)), model.root),
+        RiskProfile({**risk.cost, "R99": 0.5},
+                    {**risk.technical_ability, "R99": 0.5}))
+
+
+class TestStatementTable:
+    """relax_srl keeps each requirement's statement parts on the model; its
+    statements stay those of relax_requirement over prioritize."""
+
+    @pytest.mark.parametrize("model_text", [paps.obs_fixture_text,
+                                            _layered_text],
+                             ids=["obs", "layered-seed-7-200x500"])
+    def test_cold_and_warm_agree_with_relax_requirement(self, model_text):
+        model, risk = paps.parse_model(model_text())
+        config, rulebase = paps.load_default_rulebase()
+        goals = [g.id for g in model.sorted_goals()]
+
+        def relaxed(m):
+            return {g: relax_srl(m, risk, g, config, rulebase) for g in goals}
+
+        assert "_statement_parts" not in model.__dict__
+        cold = relaxed(model)  # empty score memo and empty table
+        assert set(model._statement_parts) == {
+            s.requirement for statements in cold.values() for s in statements}
+        warm = relaxed(model)  # both filled
+        fresh = relaxed(SecurityModel(*model))  # memo filled, table empty
+        expected = {g: [relax_requirement(model.requirement(e.requirement),
+                                          e.rds)
+                        for e in prioritize(model, risk, g, config, rulebase)]
+                    for g in goals}
+        assert cold == warm == fresh == expected
+        assert [[s.rendered for s in cold[g]] for g in goals] == \
+            [[s.rendered for s in expected[g]] for g in goals]
+
+    def test_contributing_requirement_without_metric_raises_every_time(
+            self, obs, default_fis):
+        model, risk = _with_bare_requirement(*obs, "G13")
+        for goal in ("G13", "S", "G13"):
+            with pytest.raises(RenderError) as exc:
+                relax_srl(model, risk, goal, *default_fis)
+            assert exc.value.requirement == "R99"
+            assert str(exc.value) == \
+                "requirement R99 has no satisfaction metric"
+        assert "R99" not in model._statement_parts
+        # goals R99 does not contribute to still relax
+        assert [s.requirement for s in relax_srl(
+            model, risk, "G12", *default_fis)] == ["R11"]
+
+    def test_requirement_without_metric_contributing_nowhere_never_raises(
+            self, obs, default_fis):
+        model, risk = _with_bare_requirement(*obs)
+        for goal in GOAL_IDS * 2:
+            assert relax_srl(model, risk, goal, *default_fis) == \
+                relax_srl(*obs, goal, *default_fis)
+        assert "R99" not in model._statement_parts
+
+    @pytest.mark.parametrize("ov", [100.0, 2.5, 1e-7, 0.1 + 0.2, 1234567.125])
+    def test_numeric_ov_renders_through_format_number(self, default_fis, ov):
+        model = SecurityModel((Goal("G1"),), (Requirement("R1", "d", "m",
+                                                          ov=ov),),
+                              (DerivationRule("P1", "G1", ("R1",), 0.6),),
+                              "G1")
+        risk = RiskProfile({"R1": 0.4}, {"R1": 0.7})
+        for _ in range(2):
+            [statement] = relax_srl(model, risk, "G1", *default_fis)
+            assert statement.ov_symbol == format_number(ov)
+            assert statement.rendered.endswith(f" × {format_number(ov)}")
+            assert statement == relax_requirement(model.requirement("R1"),
+                                                  statement.rds)
 
 
 class TestDeviationDegree:
