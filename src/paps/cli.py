@@ -43,14 +43,17 @@ def _fail(message: str, code: int = 1):
 
 
 def _read_text(path: str) -> str:
+    """The UTF-8 text of the file at ``path``; its byte-order mark, if any,
+    is left for the parsers to ignore."""
     with open(path, "rb") as handle:
-        data = handle.read().removeprefix(codecs.BOM_UTF8)
+        data = handle.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # Lines split as the parsers split them, columns count characters;
         # "x" stands for the bad byte, so a line break just before it counts.
-        lines = split_lines(data[:exc.start].decode("utf-8") + "x")
+        lines = split_lines(data[:exc.start].decode("utf-8")
+                            .removeprefix("\ufeff") + "x")
         raise ParseError(len(lines), len(lines[-1]), "not UTF-8 text")
 
 

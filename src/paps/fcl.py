@@ -166,6 +166,9 @@ def _read_rule(lineno: int, col: int, line: str,
 
 
 def parse_rulebase(text: str) -> tuple[VariableConfig, RuleBase]:
+    """The configuration and rules of the .rules ``text``; one leading
+    U+FEFF (a byte-order mark) is ignored."""
+    text = text.removeprefix("\ufeff")
     eof = len(split_lines(text)) + 1
     # (line, column, text) of each line that is more than a comment; the
     # block readers take their lines from this same iterator

@@ -177,9 +177,17 @@ class ModelGraph:
         nodes = model._goals_by_id.keys() | self._requirements.keys()
         adj: dict[str, dict[str, float]] = {}
         for rule in model.rules:
-            children = adj.setdefault(rule.head, {})
+            children = adj.get(rule.head)
+            if children is None:
+                children = adj[rule.head] = {}
+            degree = rule.degree
             for child in rule.body:
-                children[child] = max(children.get(child, 0.0), rule.degree)
+                # as max(children.get(child, 0.0), degree): the stored value
+                # stays on a tie, so a -0.0 or NaN degree leaves 0.0
+                if degree > children.get(child, 0.0):
+                    children[child] = degree
+                elif child not in children:
+                    children[child] = 0.0
         self.adjacency: dict[str, tuple[tuple[str, float], ...]] = {
             head: tuple(sorted(children.items()))
             for head, children in adj.items()}
@@ -406,7 +414,13 @@ def validate_model(model: SecurityModel, risk: RiskProfile) -> ValidationReport:
     """Check every structural invariant; never raises, always reports."""
     nodes, rules, graph = model._findings
     by_id = list(rules)
+    cost, tech = risk.cost.get, risk.technical_ability.get
     for req in model.requirements:
+        try:  # _in_unit's test, for both values at once
+            if 0.0 <= cost(req.id) <= 1.0 and 0.0 <= tech(req.id) <= 1.0:
+                continue
+        except TypeError:  # a missing value (None) or not a number
+            pass
         by_id.extend(_risk_findings(req.id, risk))
     # The model's findings are found once; the risk findings join its rule
     # findings in id order, after them on an equal id (a stable sort).

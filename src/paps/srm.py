@@ -10,6 +10,9 @@ Line-oriented UTF-8; one declaration per line:
 
 The optional ``cost_scale`` header divides raw costs on ingest so files
 can state costs on a [0, 100] scale while the toolkit works on [0, 1].
+
+``parse_model`` reads the lines in one pass and does on a valid line only
+what that line needs; a line is looked at again only to name its error.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import re
 
 from .model import (DerivationRule, Goal, Requirement, RiskProfile,
                     SecurityModel, natural_key)
-from .source import NUMBER, ParseError, nonblank_lines, split_lines
+from .source import NUMBER, ParseError, split_lines
 
 
 class SrmError(ParseError):
@@ -29,20 +32,30 @@ _ID = r"[A-Za-z_][A-Za-z0-9_]*"
 # A quoted string: runs of plain characters between escapes, so the engine
 # never weighs two alternatives at one character.
 _STR = r'"([^"\\]*(?:\\.[^"\\]*)*)"'
+_INF = float("inf")
 
-# keyword -> (line pattern, expected form named in the malformed-line error)
+# keyword -> (line pattern, expected form named in the malformed-line error).
+# A req line's attributes in the serializer's order (cost, tech, metric,
+# connector, ov) have their own groups; the last group holds the rest. Both
+# parts take the same attribute forms, so the pattern matches the lines
+# that ``(?:\s+{_ID}={NUMBER}|\s+{_ID}={_STR})*`` alone would.
 _LINES = {
     "option": (re.compile(rf"option\s+({_ID})\s*=\s*({NUMBER})\s*$"), ""),
     "goal": (re.compile(rf"goal\s+({_ID})\s+{_STR}\s*$"),
              ', expected: goal <ID> "<description>"'),
     "req": (re.compile(
-        rf"req\s+({_ID})\s+{_STR}((?:\s+{_ID}={NUMBER}|\s+{_ID}={_STR})*)\s*$"),
+        rf"req\s+({_ID})\s+{_STR}(?:\s+cost=({NUMBER})\s+tech=({NUMBER}))?"
+        rf"(?:\s+metric={_STR})?(?:\s+connector={_STR})?(?:\s+ov=({NUMBER}))?"
+        rf"((?:\s+{_ID}={NUMBER}|\s+{_ID}={_STR})*)\s*$"),
         ', expected: req <ID> "<description>" cost=<num> tech=<num> ...'),
     "rule": (re.compile(rf"rule\s+({_ID})\s*:\s*({_ID})\s*->\s*"
                         rf"({_ID}(?:\s+{_ID})*)\s*@\s*({NUMBER})\s*$"),
              ", expected: rule <ID>: <Goal> -> <ID> ... @ <num>"),
 }
-_ATTR_RE = re.compile(rf"({_ID})=(?:({NUMBER})|{_STR})")
+_OPTION, _GOAL, _REQ, _RULE = (p for p, _ in _LINES.values())
+# One req attribute. Only ``_attributes`` reads it, for a req line out of
+# the serializer's order or in error, so it compiles on first use.
+_ATTR = rf"({_ID})=(?:({NUMBER})|{_STR})"
 # requirement attribute -> the kind of value it takes
 _ATTRS = {"cost": "numeric", "tech": "numeric", "ov": "numeric",
           "metric": "quoted", "connector": "quoted"}
@@ -58,38 +71,132 @@ def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _declare(seen: dict[str, tuple[int, int]], key: str, name: str,
-             line: int, col: int) -> None:
-    """Record ``key`` at (line, col), or fail, calling it ``name``, if
-    ``seen`` already has it."""
-    if key in seen:
-        raise SrmError(line, col,
-                       f"{name} already declared on line {seen[key][0]}")
-    seen[key] = (line, col)
+def _column(raw: str) -> int:
+    """The column of the first non-blank character of the line ``raw``."""
+    return len(raw) - len(raw.lstrip()) + 1
+
+
+def _redeclared(lineno: int, raw: str, name: str, first: int) -> SrmError:
+    return SrmError(lineno, _column(raw),
+                    f"{name} already declared on line {first}")
+
+
+def _line_error(lineno: int, raw: str, line: str) -> SrmError:
+    """The error of a line that no pattern matched: its keyword is unknown,
+    or the rest of the line is malformed."""
+    keyword = line.split(None, 1)[0]
+    if keyword not in _LINES:
+        return SrmError(lineno, _column(raw), f"unknown directive {keyword!r}")
+    return SrmError(lineno, _column(raw),
+                    f"malformed {keyword} line{_LINES[keyword][1]}")
+
+
+def _attributes(text: str, lineno: int, raw: str, req_id: str,
+                cost_scale: float) -> tuple:
+    """(cost / cost_scale, tech, metric, connector, ov) of a req line whose
+    attributes, after the description, are ``text``; the first thing wrong
+    with them is an error, in the order: each attribute's name, repetition,
+    kind and number, in turn, then a missing cost or tech, then the cost,
+    tech and ov ranges."""
+    col = _column(raw)
+    attrs: dict[str, float | str] = {}
+    for name, number, quoted in re.findall(_ATTR, text):
+        if name not in _ATTRS:
+            raise SrmError(lineno, col, f"unknown attribute {name!r}")
+        if name in attrs:
+            raise SrmError(lineno, col, f"duplicate attribute {name!r}")
+        if (_ATTRS[name] == "numeric") != bool(number):
+            raise SrmError(lineno, col, f"attribute {name} needs a "
+                                        f"{_ATTRS[name]} value")
+        attrs[name] = (SrmError.number(number, lineno, col) if number
+                       else _unescape(quoted))
+    for required in ("cost", "tech"):
+        if required not in attrs:
+            raise SrmError(lineno, col, f"req {req_id} is missing {required}=")
+    cost = attrs["cost"] / cost_scale
+    if not 0.0 <= cost <= 1.0:
+        raise SrmError(lineno, col,
+                       f"cost {attrs['cost']} outside [0, {cost_scale:g}]")
+    if not 0.0 <= attrs["tech"] <= 1.0:
+        raise SrmError(lineno, col, f"tech {attrs['tech']} outside [0, 1]")
+    if attrs.get("ov", 1.0) <= 0:
+        raise SrmError(lineno, col, "ov must be positive")
+    return (cost, attrs["tech"], attrs.get("metric"), attrs.get("connector"),
+            attrs.get("ov"))
 
 
 def parse_model(text: str) -> tuple[SecurityModel, RiskProfile]:
+    """The model and risk profile of the .srm ``text``; one leading U+FEFF
+    (a byte-order mark) is ignored.
+
+    One pass over the lines. A line is matched by the pattern its first two
+    characters name, and only a line that matches none is looked at again,
+    to name its error. A req line whose attributes come in the serializer's
+    order and whose numbers are in range is read from its groups alone;
+    any other goes through ``_attributes``, which finds the first error.
+    """
+    lines = split_lines(text.removeprefix("\ufeff"))
     goals: list[Goal] = []
     requirements: list[Requirement] = []
     rules: list[DerivationRule] = []
     cost: dict[str, float] = {}
     tech: dict[str, float] = {}
-    declared: dict[str, tuple[int, int]] = {}  # goal and requirement ids
-    rule_at: dict[str, tuple[int, int]] = {}
+    declared: dict[str, int] = {}  # goal and requirement id -> its line
+    rule_line: dict[str, int] = {}
     cost_scale, scale_line = 1.0, 0  # line 0: cost_scale not set
+    new = tuple.__new__
 
-    for lineno, col, line in nonblank_lines(text):
-        if line.startswith("#"):
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line[0] == "#":
             continue
-        keyword = line.split(None, 1)[0]
-        if keyword not in _LINES:
-            raise SrmError(lineno, col, f"unknown directive {keyword!r}")
-        pattern, expected = _LINES[keyword]
-        m = pattern.match(line)
-        if not m:
-            raise SrmError(lineno, col, f"malformed {keyword} line{expected}")
-
-        if keyword == "option":
+        kind = line[:2]
+        if kind == "ru" and (m := _RULE.match(line)):
+            rule_id, head, body, degree_src = m.groups()
+            if rule_id in rule_line:
+                raise _redeclared(lineno, raw, f"rule {rule_id}",
+                                  rule_line[rule_id])
+            rule_line[rule_id] = lineno
+            degree = float(degree_src)
+            if not 0.0 <= degree <= 1.0:
+                raise SrmError(lineno, _column(raw),
+                               "number too large" if degree in (_INF, -_INF)
+                               else f"degree {degree_src} outside [0, 1]")
+            rules.append(new(DerivationRule,
+                             (rule_id, head, tuple(body.split()), degree)))
+        elif kind == "re" and (m := _REQ.match(line)):
+            (req_id, description, c, t, metric, connector, ov, rest,
+             _) = m.groups()
+            if req_id in declared:
+                raise _redeclared(lineno, raw, req_id, declared[req_id])
+            declared[req_id] = lineno
+            if c is not None and not rest:  # the serializer's order
+                c, t = float(c) / cost_scale, float(t)
+                if ov is not None:
+                    ov = float(ov)
+            # any other order, or a number out of range (an infinite one
+            # is), is read again attribute by attribute
+            if (c is None or rest or not (0.0 <= c <= 1.0 and 0.0 <= t <= 1.0)
+                    or ov is not None and not 0.0 < ov < _INF):
+                c, t, metric, connector, ov = _attributes(
+                    line[m.end(2) + 1:], lineno, raw, req_id, cost_scale)
+            else:
+                if metric is not None:
+                    metric = _unescape(metric)
+                if connector is not None:
+                    connector = _unescape(connector)
+            cost[req_id] = c
+            tech[req_id] = t
+            requirements.append(new(Requirement, (
+                req_id, _unescape(description), metric, connector, ov)))
+        elif kind == "go" and (m := _GOAL.match(line)):
+            goal_id, description = m.groups()
+            if goal_id in declared:
+                raise _redeclared(lineno, raw, goal_id, declared[goal_id])
+            declared[goal_id] = lineno
+            goals.append(new(Goal, (goal_id, _unescape(description))))
+        elif kind == "op" and (m := _OPTION.match(line)):
+            col = _column(raw)
             # every line before this one that parsed declared an id
             if declared or rules:
                 raise SrmError(lineno, col,
@@ -103,55 +210,17 @@ def parse_model(text: str) -> tuple[SecurityModel, RiskProfile]:
             if value <= 0:
                 raise SrmError(lineno, col, f"{name} must be positive")
             cost_scale, scale_line = value, lineno
-        elif keyword == "goal":
-            _declare(declared, m.group(1), m.group(1), lineno, col)
-            goals.append(Goal(m.group(1), _unescape(m.group(2))))
-        elif keyword == "req":
-            req_id = m.group(1)
-            _declare(declared, req_id, req_id, lineno, col)
-            attrs: dict[str, float | str] = {}
-            for name, number, quoted in _ATTR_RE.findall(m.group(3)):
-                if name not in _ATTRS:
-                    raise SrmError(lineno, col, f"unknown attribute {name!r}")
-                if name in attrs:
-                    raise SrmError(lineno, col, f"duplicate attribute {name!r}")
-                if (_ATTRS[name] == "numeric") != bool(number):
-                    raise SrmError(lineno, col, f"attribute {name} needs a "
-                                                f"{_ATTRS[name]} value")
-                attrs[name] = (SrmError.number(number, lineno, col) if number
-                               else _unescape(quoted))
-            for required in ("cost", "tech"):
-                if required not in attrs:
-                    raise SrmError(lineno, col,
-                                   f"req {req_id} is missing {required}=")
-            cost[req_id] = attrs["cost"] / cost_scale
-            if not 0.0 <= cost[req_id] <= 1.0:
-                raise SrmError(lineno, col,
-                               f"cost {attrs['cost']} outside [0, {cost_scale:g}]")
-            tech[req_id] = attrs["tech"]
-            if not 0.0 <= tech[req_id] <= 1.0:
-                raise SrmError(lineno, col, f"tech {tech[req_id]} outside [0, 1]")
-            if attrs.get("ov", 1.0) <= 0:
-                raise SrmError(lineno, col, "ov must be positive")
-            requirements.append(Requirement(
-                req_id, _unescape(m.group(2)), metric=attrs.get("metric"),
-                connector=attrs.get("connector"), ov=attrs.get("ov")))
         else:
-            rule_id, head, body, degree_src = m.groups()
-            _declare(rule_at, rule_id, f"rule {rule_id}", lineno, col)
-            degree = SrmError.number(degree_src, lineno, col)
-            if not 0.0 <= degree <= 1.0:
-                raise SrmError(lineno, col, f"degree {degree_src} outside [0, 1]")
-            rules.append(DerivationRule(rule_id, head, tuple(body.split()),
-                                        degree))
+            raise _line_error(lineno, raw, line)
 
     if not goals:
-        raise SrmError(len(split_lines(text)) + 1, 1, "no goals declared")
+        raise SrmError(len(lines) + 1, 1, "no goals declared")
     # references must resolve; report the first offender with its position
     for rule in rules:
         for node in (rule.head, *rule.body):
             if node not in declared:
-                raise SrmError(*rule_at[rule.id],
+                at = rule_line[rule.id]
+                raise SrmError(at, _column(lines[at - 1]),
                                f"rule {rule.id} references undeclared id {node!r}")
     return (SecurityModel(tuple(goals), tuple(requirements), tuple(rules),
                           root=goals[0].id),

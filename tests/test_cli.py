@@ -85,6 +85,29 @@ class TestValidate:
         assert result.exit_code == 0
         assert result.output == _invoke(runner, "validate", obs_path).output
 
+    def test_library_parsers_ignore_one_byte_order_mark(self):
+        model, rules = paps.obs_fixture_text(), paps.default_rules_text()
+        assert paps.parse_model("\ufeff" + model) == paps.parse_model(model)
+        assert (paps.parse_rulebase("\ufeff" + rules)
+                == paps.parse_rulebase(rules))
+        # only one: a second is the first character of line 1
+        with pytest.raises(paps.SrmError) as exc:
+            paps.parse_model("\ufeff\ufeff" + model)
+        assert str(exc.value) == (
+            "line 1, column 1: unknown directive '\\ufeff#'")
+        with pytest.raises(paps.FclError) as exc:
+            paps.parse_rulebase("\ufeff\ufeff" + rules)
+        assert (exc.value.line, exc.value.column) == (1, 1)
+
+    def test_two_byte_order_marks_in_a_file_fail_at_the_second(
+            self, runner, tmp_path):
+        path = tmp_path / "bom.srm"
+        path.write_bytes(codecs.BOM_UTF8 * 2 + b'goal S "s"\n')
+        result = _invoke(runner, "validate", str(path))
+        assert result.exit_code == 1
+        assert result.output == (f"error: {path}: line 1, column 1: "
+                                 "unknown directive '\\ufeffgoal'\n")
+
 
 class TestImpacts:
     def test_csv_single_goal_row(self, runner, obs_path):

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import paps
 from generators import NOT_LINE_BREAK_IDS, NOT_LINE_BREAKS
 from paps.fcl import FclError, parse_rulebase
+from paps.source import split_lines
 
 SMALL = """\
 VAR_INPUT impact
@@ -248,3 +250,52 @@ class TestParseRulebase:
         # commands that parse no rules never compile them.
         assert not [name for name, value in vars(paps.fcl).items()
                     if isinstance(value, re.Pattern)]
+
+
+# Broken rule bases: whatever the damage, the parser fails only with an
+# FclError placed on a line of the text, or just past its last line.
+_RULES_INSERTS = ["nan", "inf", "1e999", "-0", "0x1", "1_0", "\0", "\u00a0",
+                  "\u00e9", '"', "\\", "\r", "\n", ";", ":=", "(", ")", "..",
+                  ",", "//", "#", "VAR_INPUT ", "VAR_OUTPUT ", "END_VAR",
+                  "RULEBLOCK", "END_RULEBLOCK", "RANGE", "TERM ", "RULE ",
+                  " IF ", " IS ", " AND ", " THEN "]
+
+
+def _mutate_rules(rng, text: str) -> str:
+    kind = rng.randrange(5)
+    i = rng.randrange(len(text))
+    if kind == 0:
+        return text[:i] + text[i + 1:]
+    if kind == 1:
+        return text[:i] + text[i + rng.randint(2, 30):]
+    if kind == 2:
+        return text[:i] + rng.choice(_RULES_INSERTS) + text[i:]
+    lines = text.split("\n")
+    j = rng.randrange(len(lines))
+    if kind == 3:
+        lines.insert(rng.randrange(len(lines) + 1), lines[j])
+    else:
+        run = lines[j:j + rng.randint(2, 8)]
+        rng.shuffle(run)
+        lines[j:j + len(run)] = run
+    return "\n".join(lines)
+
+
+def test_mutants_fail_only_with_a_positioned_error():
+    rng = random.Random(20261020)
+    failed = 0
+    for base, count in ((SMALL, 1500), (paps.default_rules_text(), 300)):
+        for _ in range(count):
+            text = base
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                text = _mutate_rules(rng, text)
+            try:
+                parse_rulebase(text)
+            except FclError as exc:
+                failed += 1
+                lines = split_lines(text)
+                assert 1 <= exc.line <= len(lines) + 1, (text, exc)
+                width = (len(lines[exc.line - 1]) if exc.line <= len(lines)
+                         else 0)
+                assert 1 <= exc.column <= width + 1, (text, exc)
+    assert failed > 1000  # most of the 1 800 mutants are broken

@@ -1,11 +1,13 @@
+import hashlib
 import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import paps
-from generators import NOT_LINE_BREAKS, random_valid_model
-from paps.source import NUMBER
+from generators import NOT_LINE_BREAKS, bench_gen, random_valid_model
+from paps.source import NUMBER, split_lines
 from paps import srm
 from paps.srm import SrmError, format_number, parse_model, serialize_model
 
@@ -272,7 +274,7 @@ class TestStringPattern:
         # attribute pattern built from it match the same text with the
         # same groups, or fail on the same lines.
         built = [p for p in [*(p for p, _ in srm._LINES.values()),
-                             srm._ATTR_RE] if srm._STR in p.pattern]
+                             re.compile(srm._ATTR)] if srm._STR in p.pattern]
         assert len(built) == 3  # goal, req and the attribute pattern
         patterns = [(re.compile(OLD_STR), re.compile(srm._STR))] + [
             (re.compile(p.pattern.replace(srm._STR, OLD_STR)), p)
@@ -290,6 +292,13 @@ class TestStringPattern:
                     assert (a and (a.span(), a.groups())) == (
                         b and (b.span(), b.groups())), (line, new.pattern, how)
                 assert old.findall(line) == new.findall(line), line
+
+    def test_only_the_line_patterns_compile_at_import(self):
+        # Every command parses a model, so each pattern compiled at import
+        # costs every process; the attribute pattern waits for a req line
+        # out of the serializer's order, or an error.
+        compiled = [v for v in vars(srm).values() if isinstance(v, re.Pattern)]
+        assert compiled == [p for p, _ in srm._LINES.values()]
 
     @pytest.mark.parametrize("text", [
         "", "plain", 'say \\"hi\\"', "a\\\\b", "\\\\\\\"", "tail\\",
@@ -383,3 +392,198 @@ class TestSerialize:
     def test_serializer_emits_lf(self, obs):
         model, risk = obs
         assert "\r" not in serialize_model(model, risk)
+
+
+# --- the parser against a recorded corpus of broken and odd models ---------
+#
+# About 2 000 seeded mutants of OBS and of a small generated model. Their
+# digest was recorded with the parser that came before the one-pass loop, so
+# any change in a parsed value, an error's text or position, or the error
+# that wins on a line with several, changes it.
+
+MUTANT_SEED = 20261020
+MUTANT_DIGEST = (
+    "f84e19533ec0fd4a976ceb929f86745403cb1a589a550977cf5b306e71a83af2")
+INSERTS = ["nan", "inf", "1e999", "-0", "0x1", "1_0", "\0", "\u00a0", "\u00e9",
+           '"', "\\", '\\"', "\r", "\r\n", "\n", " ", "\t", "#", "=", ":",
+           "@", "->", "goal ", "req ", "rule ", "option ", "cost=", "tech=",
+           "metric=", "connector=", "ov=", "cost_scale = 100"]
+NUMBERS = ["-0", "0", "1", "1.", ".5", "+.5", "-1", "2", "0.0000001",
+           "9" * 400, "1e999", "0x1", "1_0", "nan", "inf", "00.50"]
+OPTIONS = ["100", "2.5", "1", "0", "-1", "9" * 400, "1e2"]
+ODD_ATTRIBUTES = [" ov=1", " ov=-0", " metric=5", ' cost="cheap"', " colour=1",
+                  ' connector="at least"', " tech=0.5", ' metric="a\\"b"']
+_NUMBER_AT = re.compile(r"(?<==)[-+.0-9]+|(?<=@ )[-+.0-9]+")
+_ATTRIBUTES = re.compile(r'\s+[a-z_]+=(?:"(?:[^"\\]|\\.)*"|\S+)')
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    lines = text.split("\n")
+    kind = rng.randrange(10)
+    if kind == 0:  # delete a character
+        i = rng.randrange(len(text))
+        return text[:i] + text[i + 1:]
+    if kind == 1:  # delete a span
+        i = rng.randrange(len(text))
+        return text[:i] + text[i + rng.randint(2, 30):]
+    if kind == 2:  # insert a token
+        i = rng.randrange(len(text) + 1)
+        return text[:i] + rng.choice(INSERTS) + text[i:]
+    if kind == 3:  # duplicate a line
+        line = rng.choice(lines)
+        lines.insert(rng.randrange(len(lines) + 1), line)
+    elif kind == 4:  # shuffle a run of lines
+        i = rng.randrange(len(lines))
+        run = lines[i:i + rng.randint(2, 8)]
+        rng.shuffle(run)
+        lines[i:i + len(run)] = run
+    elif kind == 5:  # replace a number
+        spans = [m.span() for m in _NUMBER_AT.finditer(text)]
+        if spans:
+            a, b = rng.choice(spans)
+            return text[:a] + rng.choice(NUMBERS) + text[b:]
+    elif kind == 6:  # reorder, drop or repeat a requirement's attributes
+        reqs = [i for i, line in enumerate(lines) if line.startswith("req ")]
+        if reqs:
+            i = rng.choice(reqs)
+            head_end = lines[i].index('"', lines[i].index('"') + 1) + 1
+            attrs = _ATTRIBUTES.findall(lines[i][head_end:])
+            how = rng.randrange(3)
+            if how == 0:
+                rng.shuffle(attrs)
+            elif how == 1 and attrs:
+                attrs.pop(rng.randrange(len(attrs)))
+            else:
+                attrs.insert(rng.randrange(len(attrs) + 1),
+                             rng.choice(attrs + ODD_ATTRIBUTES))
+            lines[i] = lines[i][:head_end] + "".join(attrs)
+    elif kind == 7:  # change the line ends
+        return text.replace("\n", rng.choice(["\r\n", "\r"]))
+    elif kind == 8:  # add an option line near the top
+        name = rng.choice(["cost_scale"] * 4 + ["colour"])
+        lines.insert(rng.randrange(4),
+                     f"option {name} = {rng.choice(OPTIONS)}")
+    else:  # indent a line, and another run of lines below it
+        i = rng.randrange(len(lines))
+        for j in (i, *range(rng.randrange(len(lines)), len(lines), 3)):
+            lines[j] = rng.choice([" ", "\t", "\u00a0 ", "   "]) + lines[j]
+    return "\n".join(lines)
+
+
+def _corpus() -> list[str]:
+    rng = random.Random(MUTANT_SEED)
+    small = bench_gen.layered_model(5, 9, 18, layers=3,
+                                    continuous_risk=True).text
+    texts = []
+    for base in (paps.obs_fixture_text(), small):
+        for _ in range(1000):
+            text = base
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                text = _mutate(rng, text)
+            texts.append(text)
+    return texts
+
+
+def _outcome(text: str) -> str:
+    try:
+        model, risk = parse_model(text)
+    except SrmError as exc:
+        lines = split_lines(text)
+        if exc.line <= len(lines):
+            assert 1 <= exc.column <= len(lines[exc.line - 1]), (text, exc)
+        else:
+            assert (exc.line, exc.column) == (len(lines) + 1, 1), (text, exc)
+        return f"error {exc.line} {exc.column} {exc.message}"
+    return repr((model, list(risk.cost.items()),
+                 list(risk.technical_ability.items())))
+
+
+def test_mutant_outcomes_match_the_recorded_digest():
+    # Each outcome: the parsed records and risk, bit for bit (repr keeps a
+    # float's every digit and the sign of -0.0), or the error's line,
+    # column and message. Any other exception fails the test.
+    outcomes = [_outcome(text) for text in _corpus()]
+    assert sum(o.startswith("error ") for o in outcomes) == 1197
+    digest = hashlib.sha256("\0".join(outcomes).encode()).hexdigest()
+    assert digest == MUTANT_DIGEST
+
+
+# --- round trip from hand-written text -------------------------------------
+
+_IDS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
+_BLANK = st.sampled_from(["", " ", "\t", "  \t", "\u00a0"])
+# A quoted string as written: plain characters, including non-ASCII ones
+# and what only str.splitlines would break at, and escapes.
+_QUOTED = st.lists(st.one_of(
+    st.text(st.characters(blacklist_characters='"\\\r\n',
+                          blacklist_categories=("Cs",)), max_size=4),
+    st.sampled_from(['\\"', "\\\\", "\\n", "\u00e9", "\u03bb\u0436",
+                     NOT_LINE_BREAKS])), max_size=4).map("".join)
+
+
+_FORMS = [str, "+{}".format, "0{}".format, "{}0".format,
+          lambda t: t.lstrip("0"), lambda t: t.rstrip("0")]
+
+
+def _number(low: int, high: int, scale: int = 1):
+    """Decimal text for a value in [low, high] * scale, in the forms NUMBER
+    takes: a sign, leading zeros, no integer part or a bare point."""
+    return st.builds(lambda n, form: form(f"{n / 1000 * scale:.3f}"),
+                     st.integers(low * 1000, high * 1000),
+                     st.sampled_from(_FORMS))
+
+
+@st.composite
+def srm_texts(draw):
+    """Valid .srm text: every statement form, in any order after the
+    option, with comments, blank lines, indentation and mixed line ends."""
+    ids = draw(st.lists(_IDS, min_size=2, max_size=9, unique=True))
+    n_goals = draw(st.integers(1, len(ids) - 1))
+    goals, reqs = ids[:n_goals], ids[n_goals:]
+    scale = draw(st.sampled_from([None, 1, 8, 100]))
+    statements = [f'goal {g} "{draw(_QUOTED)}"' for g in goals]
+    for r in reqs:
+        attrs = [f"cost={draw(_number(0, 1, scale or 1) | st.just('-0'))}",
+                 f"tech={draw(_number(0, 1))}"]
+        if draw(st.booleans()):
+            attrs.append(f'metric="{draw(_QUOTED)}"')
+        if draw(st.booleans()):
+            attrs.append(f'connector="{draw(_QUOTED)}"')
+        if draw(st.booleans()):
+            ov = draw(_number(0, 500).filter(lambda t: float(t) > 0))
+            attrs.append(f"ov={ov}")
+        if draw(st.booleans()):
+            attrs = draw(st.permutations(attrs))
+        statements.append(f'req {r} "{draw(_QUOTED)}" ' + " ".join(attrs))
+    for i in range(draw(st.integers(0, 6))):
+        body = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3))
+        statements.append(f"rule P{i}: {draw(st.sampled_from(goals))} -> "
+                          f"{' '.join(body)} @ {draw(_number(0, 1))}")
+    # the first goal stays first among the goals: it is the root
+    rest = draw(st.permutations(statements[1:]))
+    statements = [statements[0], *rest]
+    comments = st.builds(lambda blank, text: f"{blank}#{text}", _BLANK,
+                         st.text(st.characters(blacklist_characters="\r\n",
+                                               blacklist_categories=("Cs",)),
+                                 max_size=8))
+    lines = [] if scale is None else [f"option cost_scale = {scale}"]
+    for statement in statements:
+        lines += draw(st.lists(st.one_of(comments, _BLANK), max_size=2))
+        lines.append(draw(_BLANK) + statement + draw(_BLANK))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=40, deadline=None)
+@given(srm_texts())
+def test_hand_written_text_round_trips(text):
+    model, risk = parse_model(text)
+    canonical = serialize_model(model, risk)
+    again, again_risk = parse_model(canonical)
+    for name in ("goals", "requirements", "rules"):
+        assert set(getattr(again, name)) == set(getattr(model, name))
+    assert again.root == model.root
+    assert dict(again_risk.cost) == dict(risk.cost)
+    assert dict(again_risk.technical_ability) == dict(risk.technical_ability)
+    assert serialize_model(again, again_risk) == canonical
