@@ -34,28 +34,20 @@ _ID = r"[A-Za-z_][A-Za-z0-9_]*"
 _STR = r'"([^"\\]*(?:\\.[^"\\]*)*)"'
 _INF = float("inf")
 
-# keyword -> (line pattern, expected form named in the malformed-line error).
-# A req line's attributes in the serializer's order (cost, tech, metric,
-# connector, ov) have their own groups; the last group holds the rest. Both
-# parts take the same attribute forms, so the pattern matches the lines
-# that ``(?:\s+{_ID}={NUMBER}|\s+{_ID}={_STR})*`` alone would.
+# keyword -> (line pattern, expected form named in the malformed-line error)
 _LINES = {
     "option": (re.compile(rf"option\s+({_ID})\s*=\s*({NUMBER})\s*$"), ""),
     "goal": (re.compile(rf"goal\s+({_ID})\s+{_STR}\s*$"),
              ', expected: goal <ID> "<description>"'),
     "req": (re.compile(
-        rf"req\s+({_ID})\s+{_STR}(?:\s+cost=({NUMBER})\s+tech=({NUMBER}))?"
-        rf"(?:\s+metric={_STR})?(?:\s+connector={_STR})?(?:\s+ov=({NUMBER}))?"
-        rf"((?:\s+{_ID}={NUMBER}|\s+{_ID}={_STR})*)\s*$"),
+        rf"req\s+({_ID})\s+{_STR}((?:\s+{_ID}={NUMBER}|\s+{_ID}={_STR})*)\s*$"),
         ', expected: req <ID> "<description>" cost=<num> tech=<num> ...'),
     "rule": (re.compile(rf"rule\s+({_ID})\s*:\s*({_ID})\s*->\s*"
                         rf"({_ID}(?:\s+{_ID})*)\s*@\s*({NUMBER})\s*$"),
              ", expected: rule <ID>: <Goal> -> <ID> ... @ <num>"),
 }
 _OPTION, _GOAL, _REQ, _RULE = (p for p, _ in _LINES.values())
-# One req attribute. Only ``_attributes`` reads it, for a req line out of
-# the serializer's order or in error, so it compiles on first use.
-_ATTR = rf"({_ID})=(?:({NUMBER})|{_STR})"
+_ATTR_RE = re.compile(rf"({_ID})=(?:({NUMBER})|{_STR})")
 # requirement attribute -> the kind of value it takes
 _ATTRS = {"cost": "numeric", "tech": "numeric", "ov": "numeric",
           "metric": "quoted", "connector": "quoted"}
@@ -98,31 +90,38 @@ def _attributes(text: str, lineno: int, raw: str, req_id: str,
     with them is an error, in the order: each attribute's name, repetition,
     kind and number, in turn, then a missing cost or tech, then the cost,
     tech and ov ranges."""
-    col = _column(raw)
     attrs: dict[str, float | str] = {}
-    for name, number, quoted in re.findall(_ATTR, text):
-        if name not in _ATTRS:
-            raise SrmError(lineno, col, f"unknown attribute {name!r}")
+    for name, number, quoted in _ATTR_RE.findall(text):
+        kind = _ATTRS.get(name)
+        if kind is None:
+            raise SrmError(lineno, _column(raw), f"unknown attribute {name!r}")
         if name in attrs:
-            raise SrmError(lineno, col, f"duplicate attribute {name!r}")
-        if (_ATTRS[name] == "numeric") != bool(number):
-            raise SrmError(lineno, col, f"attribute {name} needs a "
-                                        f"{_ATTRS[name]} value")
-        attrs[name] = (SrmError.number(number, lineno, col) if number
-                       else _unescape(quoted))
+            raise SrmError(lineno, _column(raw),
+                           f"duplicate attribute {name!r}")
+        if (kind == "numeric") != bool(number):
+            raise SrmError(lineno, _column(raw),
+                           f"attribute {name} needs a {kind} value")
+        if number:
+            value = float(number)
+            if value in (_INF, -_INF):
+                raise SrmError(lineno, _column(raw), "number too large")
+            attrs[name] = value
+        else:
+            attrs[name] = _unescape(quoted)
     for required in ("cost", "tech"):
         if required not in attrs:
-            raise SrmError(lineno, col, f"req {req_id} is missing {required}=")
-    cost = attrs["cost"] / cost_scale
+            raise SrmError(lineno, _column(raw),
+                           f"req {req_id} is missing {required}=")
+    cost, tech = attrs["cost"] / cost_scale, attrs["tech"]
     if not 0.0 <= cost <= 1.0:
-        raise SrmError(lineno, col,
+        raise SrmError(lineno, _column(raw),
                        f"cost {attrs['cost']} outside [0, {cost_scale:g}]")
-    if not 0.0 <= attrs["tech"] <= 1.0:
-        raise SrmError(lineno, col, f"tech {attrs['tech']} outside [0, 1]")
-    if attrs.get("ov", 1.0) <= 0:
-        raise SrmError(lineno, col, "ov must be positive")
-    return (cost, attrs["tech"], attrs.get("metric"), attrs.get("connector"),
-            attrs.get("ov"))
+    if not 0.0 <= tech <= 1.0:
+        raise SrmError(lineno, _column(raw), f"tech {tech} outside [0, 1]")
+    ov = attrs.get("ov")
+    if ov is not None and ov <= 0:
+        raise SrmError(lineno, _column(raw), "ov must be positive")
+    return cost, tech, attrs.get("metric"), attrs.get("connector"), ov
 
 
 def parse_model(text: str) -> tuple[SecurityModel, RiskProfile]:
@@ -131,9 +130,7 @@ def parse_model(text: str) -> tuple[SecurityModel, RiskProfile]:
 
     One pass over the lines. A line is matched by the pattern its first two
     characters name, and only a line that matches none is looked at again,
-    to name its error. A req line whose attributes come in the serializer's
-    order and whose numbers are in range is read from its groups alone;
-    any other goes through ``_attributes``, which finds the first error.
+    to name its error.
     """
     lines = split_lines(text.removeprefix("\ufeff"))
     goals: list[Goal] = []
@@ -165,28 +162,12 @@ def parse_model(text: str) -> tuple[SecurityModel, RiskProfile]:
             rules.append(new(DerivationRule,
                              (rule_id, head, tuple(body.split()), degree)))
         elif kind == "re" and (m := _REQ.match(line)):
-            (req_id, description, c, t, metric, connector, ov, rest,
-             _) = m.groups()
+            req_id, description, attributes = m.group(1, 2, 3)
             if req_id in declared:
                 raise _redeclared(lineno, raw, req_id, declared[req_id])
             declared[req_id] = lineno
-            if c is not None and not rest:  # the serializer's order
-                c, t = float(c) / cost_scale, float(t)
-                if ov is not None:
-                    ov = float(ov)
-            # any other order, or a number out of range (an infinite one
-            # is), is read again attribute by attribute
-            if (c is None or rest or not (0.0 <= c <= 1.0 and 0.0 <= t <= 1.0)
-                    or ov is not None and not 0.0 < ov < _INF):
-                c, t, metric, connector, ov = _attributes(
-                    line[m.end(2) + 1:], lineno, raw, req_id, cost_scale)
-            else:
-                if metric is not None:
-                    metric = _unescape(metric)
-                if connector is not None:
-                    connector = _unescape(connector)
-            cost[req_id] = c
-            tech[req_id] = t
+            (cost[req_id], tech[req_id], metric, connector,
+             ov) = _attributes(attributes, lineno, raw, req_id, cost_scale)
             requirements.append(new(Requirement, (
                 req_id, _unescape(description), metric, connector, ov)))
         elif kind == "go" and (m := _GOAL.match(line)):
