@@ -84,12 +84,6 @@ class SecurityModel(Frozen, namedtuple(
     rules: tuple[DerivationRule, ...]
     root: str
 
-    def goal_ids(self) -> set[str]:
-        return {g.id for g in self.goals}
-
-    def requirement_ids(self) -> set[str]:
-        return {r.id for r in self.requirements}
-
     def goal(self, goal_id: str) -> Goal:
         try:
             return self._goals_by_id[goal_id]
@@ -168,8 +162,12 @@ class ModelGraph:
     back into the search path ends it: ``cycle`` then holds that path from
     the edge's target on, closed by the target again (``[G1, G2, G1]``),
     and ``order`` is None. On an acyclic graph ``cycle`` is None.
-    ``impact_rows`` is computed on first use. The graph checks nothing
-    else: repeated ids and degrees outside [0, 1] are the model's findings.
+    The search keeps one mark per node: on the path, or finished. It is the
+    only walk of the graph; the rest are single passes over ``order``:
+    ``impact_rows``, computed on first use, goes children first, and
+    validation finds the nodes the root reaches going parents first. The
+    graph checks nothing else: repeated ids and degrees outside [0, 1] are
+    the model's findings.
     """
 
     def __init__(self, model: SecurityModel):
@@ -195,40 +193,30 @@ class ModelGraph:
         self.cycle: list[str] | None = None
         self.order: tuple[str, ...] | None = None
         order: list[str] = []
-        done: set[str] = set()
+        state: dict[str, bool] = {}  # True on the path, False once finished
         for start in sorted(nodes | set(adj)):
-            if start in done:
+            if start in state:
                 continue
-            path, on_path = [start], {start}
+            path = [start]
+            state[start] = True
             stack = [iter(self.adjacency.get(start, ()))]
             while stack:
                 for child, _ in stack[-1]:
-                    if child in on_path:
+                    mark = state.get(child)
+                    if mark:
                         self.cycle = path[path.index(child):] + [child]
                         return
-                    if child not in done:
+                    if mark is None:
                         path.append(child)
-                        on_path.add(child)
+                        state[child] = True
                         stack.append(iter(self.adjacency.get(child, ())))
                         break
                 else:
                     node = path.pop()
-                    on_path.remove(node)
-                    done.add(node)
+                    state[node] = False
                     order.append(node)
                     stack.pop()
         self.order = tuple(order)
-
-    def reachable(self, source: str) -> set[str]:
-        """``source`` and every node a derivation chain leads to from it."""
-        seen = {source}
-        frontier = [source]
-        while frontier:
-            for child, _ in self.adjacency.get(frontier.pop(), ()):
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-        return seen
 
     @cached_property
     def impact_rows(self) -> dict[str, dict[str, float]]:
@@ -338,13 +326,12 @@ def _model_findings(model: SecurityModel) -> tuple[tuple[Finding, ...], ...]:
                                     "declared more than once"))
         declared.add(node_id)
 
-    goal_ids = model.goal_ids()
-    req_ids = model.requirement_ids()
+    goals, requirements = model._goals_by_id, model._requirements_by_id
 
     if model.root not in declared:
         findings.append(Finding(CATEGORY_DANGLING, "error", model.root,
                                 "root node is not declared"))
-    elif model.root not in goal_ids:
+    elif model.root not in goals:
         findings.append(Finding(CATEGORY_REQ_AS_HEAD, "error", model.root,
                                 "root node must be a goal"))
 
@@ -356,7 +343,7 @@ def _model_findings(model: SecurityModel) -> tuple[tuple[Finding, ...], ...]:
             findings.append(Finding(CATEGORY_DUPLICATE, "error", rule.id,
                                     "rule id declared more than once"))
         seen_rule_ids.add(rule.id)
-        if rule.head in req_ids:
+        if rule.head in requirements:
             findings.append(Finding(CATEGORY_REQ_AS_HEAD, "error", rule.id,
                                     f"requirement {rule.head} used as rule head"))
         elif rule.head not in declared:
@@ -380,9 +367,15 @@ def _model_findings(model: SecurityModel) -> tuple[tuple[Finding, ...], ...]:
         findings.append(Finding(CATEGORY_CYCLE, "error", cycle[0],
                                 "derivation cycle: " + " -> ".join(cycle)))
 
-    if model.root in goal_ids and degrees_ok and cycle is None:
-        reachable = model.graph.reachable(model.root)
-        for node_id in sorted([i for i in declared if i not in reachable],
+    if model.root in goals and degrees_ok and cycle is None:
+        # reversed, the search order has every parent before its children
+        adjacency = model.graph.adjacency
+        reached = {model.root}
+        for node in reversed(model.graph.order):
+            if node in reached:
+                for child, _ in adjacency.get(node, ()):
+                    reached.add(child)
+        for node_id in sorted([i for i in declared if i not in reached],
                               key=natural_key):
             findings.append(Finding(CATEGORY_UNREACHABLE, "warning", node_id,
                                     "no derivation chain from the root goal"))

@@ -59,8 +59,12 @@ def _unescape(text: str) -> str:
     return text.replace('\\"', '"').replace("\\\\", "\\")
 
 
-def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
+def _quoted(text: str, node_id: str, field: str) -> str:
+    """``text`` as a .srm string. The string has no escape for a line
+    break, so a text holding LF or CR is refused."""
+    if "\n" in text or "\r" in text:
+        raise ValueError(f"{node_id}: {field} contains a line break")
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _column(raw: str) -> int:
@@ -230,19 +234,22 @@ def serialize_model(model: SecurityModel, risk: RiskProfile) -> str:
 
     The root goal is emitted first so the round-trip keeps the same root
     (the parser takes the first goal as root), and every number parses
-    back to the same float.
+    back to the same float. A description, metric or connector holding a
+    line break raises ``ValueError``.
     """
     lines: list[str] = []
     for goal in model.sorted_goals():
-        lines.append(f'goal {goal.id} "{_escape(goal.description)}"')
+        lines.append(
+            f"goal {goal.id} {_quoted(goal.description, goal.id, 'description')}")
     for req in model.sorted_requirements():
-        parts = [f'req {req.id} "{_escape(req.description)}"',
+        parts = [f"req {req.id} {_quoted(req.description, req.id, 'description')}",
                  f"cost={_exact_number(risk.cost[req.id])}",
                  f"tech={_exact_number(risk.technical_ability[req.id])}"]
         if req.metric is not None:
-            parts.append(f'metric="{_escape(req.metric)}"')
+            parts.append(f"metric={_quoted(req.metric, req.id, 'metric')}")
         if req.connector is not None:
-            parts.append(f'connector="{_escape(req.connector)}"')
+            parts.append(
+                f"connector={_quoted(req.connector, req.id, 'connector')}")
         if req.ov is not None:
             parts.append(f"ov={_exact_number(req.ov)}")
         lines.append(" ".join(parts))

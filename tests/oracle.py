@@ -26,23 +26,34 @@ class OracleSizeError(Exception):
 
 def brute_force_impact(model: SecurityModel, goal: str,
                        requirement: str) -> float:
-    """Enumerate every simple path goal -> requirement explicitly."""
-    known = model.goal_ids() | model.requirement_ids()
+    """Enumerate every simple path goal -> requirement explicitly, over
+    edges read from ``model.rules`` alone, not from the engine's graph."""
+    known = {g.id for g in model.goals} | {r.id for r in model.requirements}
     for node in (goal, requirement):
         if node not in known:
             raise KeyError(f"unknown node {node!r}")
-    reachable = model.graph.reachable(goal)
+    adj: dict[str, dict[str, float]] = {}
+    for rule in model.rules:
+        children = adj.setdefault(rule.head, {})
+        for child in rule.body:  # a repeated edge keeps its largest degree
+            children[child] = max(children.get(child, 0.0), rule.degree)
+    reachable = {goal}
+    frontier = [goal]
+    while frontier:
+        for child in adj.get(frontier.pop(), {}):
+            if child not in reachable:
+                reachable.add(child)
+                frontier.append(child)
     if len(reachable) > ORACLE_NODE_LIMIT:
         raise OracleSizeError(
             f"{len(reachable)} nodes reachable from {goal}, "
             f"oracle limit is {ORACLE_NODE_LIMIT}")
-    adj = model.graph.adjacency
     best = 0.0
     stack: list[tuple[str, float, frozenset[str]]] = [
         (goal, math.inf, frozenset({goal}))]
     while stack:
         node, width, visited = stack.pop()
-        for child, degree in adj.get(node, ()):
+        for child, degree in adj.get(node, {}).items():
             if child in visited:
                 continue
             w = min(width, degree)

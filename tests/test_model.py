@@ -294,30 +294,42 @@ def _kahn_order(model: SecurityModel) -> tuple[str, ...] | None:
 
 
 @st.composite
-def _declared_models(draw) -> SecurityModel:
+def _declared_models(draw, strays: bool = False) -> SecurityModel:
     """Random rules over declared ids only: self-loops, several cycles,
     duplicate edges and requirement heads all occur. Goals are declared in
-    a drawn order, so id order and declaration order differ."""
+    a drawn order, so id order and declaration order differ. With
+    ``strays``, rule bodies also name undeclared ids, one degree may lie
+    outside [0, 1], and the root may be a requirement or undeclared."""
     goals = draw(st.permutations(
         [f"G{i}" for i in range(draw(st.integers(1, 12)))]))
     reqs = [f"R{i}" for i in range(draw(st.integers(0, 4)))]
     ids = st.sampled_from(goals + reqs)
-    rules = draw(st.lists(st.tuples(
-        ids, st.lists(ids, min_size=1, max_size=3),
+    bodies = st.one_of(ids, st.sampled_from(["X1", "G99"])) if strays else ids
+    drawn = draw(st.lists(st.tuples(
+        ids, st.lists(bodies, min_size=1, max_size=3),
         st.sampled_from([0.2, 0.5, 1.0])), max_size=16))
+    rules = [DerivationRule(f"P{i}", head, tuple(body), degree)
+             for i, (head, body, degree) in enumerate(drawn)]
+    root = goals[0]
+    if strays:
+        if rules and draw(st.booleans()):
+            i = draw(st.integers(0, len(rules) - 1))
+            rules[i] = rules[i]._replace(degree=draw(st.sampled_from(
+                [0.5, -0.5, 1.5, float("nan")])))
+        root = draw(st.sampled_from([*goals, *reqs, "X1"]))
     return SecurityModel(
         goals=tuple(map(Goal, goals)),
         requirements=tuple(map(Requirement, reqs)),
-        rules=tuple(DerivationRule(f"P{i}", head, tuple(body), degree)
-                    for i, (head, body, degree) in enumerate(rules)),
-        root=goals[0])
+        rules=tuple(rules),
+        root=root)
 
 
 class TestDepthFirstSearchAgainstReferences:
     @given(_declared_models())
     def test_cycle_and_order_match_the_old_walks(self, model):
         graph = model.graph
-        declared = model.goal_ids() | model.requirement_ids()
+        declared = ({g.id for g in model.goals}
+                    | {r.id for r in model.requirements})
         cycle = _find_cycle(graph.adjacency, declared)
         assert graph.cycle == cycle
         assert _find_cycle(graph.adjacency, set(graph.adjacency)) == cycle
@@ -337,6 +349,27 @@ class TestDepthFirstSearchAgainstReferences:
         for head, children in graph.adjacency.items():
             for child, _ in children:
                 assert at[child] < at[head]
+
+
+class TestUnreachableWarnings:
+    @given(_declared_models(strays=True))
+    def test_warnings_name_what_a_walk_over_the_rules_misses(self, model):
+        warned = [f.subject for f in validate_model(model, _risk()).findings
+                  if f.category == "unreachable-node"]
+        goals = {g.id for g in model.goals}
+        if (model.root not in goals or _kahn_order(model) is None
+                or not all(0 <= r.degree <= 1 for r in model.rules)):
+            assert warned == []
+            return
+        reached, frontier = {model.root}, [model.root]
+        while frontier:
+            node = frontier.pop()
+            for rule in model.rules:
+                if rule.head == node:
+                    frontier.extend(set(rule.body) - reached)
+                    reached.update(rule.body)
+        declared = goals | {r.id for r in model.requirements}
+        assert warned == sorted(declared - reached, key=natural_key)
 
 
 def _letter_first_key(node_id: str) -> tuple:

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paps
-from generators import NOT_LINE_BREAKS, random_valid_model
+from generators import NOT_LINE_BREAKS, bench_gen, random_valid_model
 from paps.source import NUMBER, split_lines
 from paps import srm
+from paps.model import Goal, Requirement, RiskProfile, SecurityModel
+from paps.pipeline import prioritize, report_csv
+from paps.relax import relax_srl, relax_text
 from paps.srm import SrmError, format_number, parse_model, serialize_model
 
 MINIMAL = (
@@ -300,7 +303,31 @@ class TestStringPattern:
         assert srm._unescape(text) == _old_unescape(text)
 
 
+def _command_outputs(text: str) -> list[str]:
+    """The impact matrix as csv, table and json, then the prioritize csv
+    and the relaxed statements of every goal, under the default rules."""
+    model, risk = parse_model(text)
+    config, rulebase = paps.load_default_rulebase()  # a fresh score memo
+    matrix = paps.impact_matrix(model)
+    outputs = [matrix.to_csv(), matrix.to_table(), matrix.to_json()]
+    for goal in model.sorted_goals():
+        outputs.append(report_csv(prioritize(model, risk, goal.id, config,
+                                             rulebase)))
+        outputs.append(relax_text(relax_srl(model, risk, goal.id, config,
+                                            rulebase)))
+    return outputs
+
+
 class TestSerialize:
+    @pytest.mark.parametrize("text", [
+        paps.obs_fixture_text(),
+        bench_gen.layered_model(11, 24, 48, layers=4,
+                                continuous_risk=True).text,
+    ], ids=["obs", "generated"])
+    def test_command_outputs_survive_a_round_trip(self, text):
+        canonical = serialize_model(*parse_model(text))
+        assert _command_outputs(canonical) == _command_outputs(text)
+
     def test_obs_round_trip_identity(self, obs):
         model, risk = obs
         text = serialize_model(model, risk)
@@ -385,6 +412,25 @@ class TestSerialize:
     def test_serializer_emits_lf(self, obs):
         model, risk = obs
         assert "\r" not in serialize_model(model, risk)
+
+    @pytest.mark.parametrize("goal,req,message", [
+        (Goal("G1", "a\nb"), Requirement("R1"),
+         "G1: description contains a line break"),
+        (Goal("G1"), Requirement("R1", "a\r"),
+         "R1: description contains a line break"),
+        (Goal("G1"), Requirement("R1", metric="\r\n"),
+         "R1: metric contains a line break"),
+        (Goal("G1"), Requirement("R1", connector="a\nb"),
+         "R1: connector contains a line break"),
+    ], ids=["goal", "description", "metric", "connector"])
+    def test_a_line_break_in_a_text_is_refused(self, goal, req, message):
+        # A .srm string has no escape for a line break; written as is, the
+        # text would not parse back.
+        model = SecurityModel((goal,), (req,), (), "G1")
+        risk = RiskProfile({"R1": 0.5}, {"R1": 0.5})
+        with pytest.raises(ValueError) as exc:
+            serialize_model(model, risk)
+        assert str(exc.value) == message
 
 
 # --- the parser against a recorded corpus of broken and odd models ---------
