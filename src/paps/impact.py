@@ -141,7 +141,7 @@ class ImpactMatrix(namedtuple("ImpactMatrix", "goals requirements rows")):
 def _rows(model: SecurityModel) -> dict[str, dict[str, float]]:
     """``model.graph.impact_rows``, refused for the model's first repeated
     goal or requirement id, else its first degree outside [0, 1]."""
-    nodes, rules, _ = model._findings
+    nodes, rules, _ = model.graph.findings
     for run, category in ((nodes, CATEGORY_DUPLICATE), (rules, CATEGORY_RANGE)):
         for finding in run:
             if finding.category == category:
@@ -178,7 +178,7 @@ def build_srl(model: SecurityModel,
     model that ``validate_model`` reports an error for is refused with the
     first error, before the goal is looked up (``P3: requirement R1 used
     as rule head``)."""
-    nodes, rules, graph = model._findings
+    nodes, rules, graph = model.graph.findings
     for finding in (*nodes, *rules, *graph[:1]):  # the errors come first
         if finding.severity == "error":
             _refuse(finding)

@@ -20,10 +20,18 @@ _DIGIT_RUN = re.compile(r"(\d+)")
 def natural_key(node_id: str) -> tuple:
     """Sort key treating digit runs numerically, so R2 < R10. Text and
     numbers alternate, text first (maybe empty), so any two keys compare;
-    the id's own text breaks a tie (R01 < R1), so no two ids share a key."""
+    the id's own text breaks a tie (R01 < R1), so no two ids share a key.
+    A number is the length and ASCII digits of its run without leading
+    zeros: it orders as ``int`` would, also past ``int``'s 4 300 digits."""
     parts = _DIGIT_RUN.split(node_id)
-    parts[1::2] = map(int, parts[1::2])
-    return tuple(parts), node_id
+    key = [parts[0]]
+    for i in range(1, len(parts), 2):
+        run = parts[i]
+        if not run.isascii():
+            run = "".join([str(int(digit)) for digit in run])
+        run = run.lstrip("0")
+        key += len(run), run, parts[i + 1]
+    return tuple(key), node_id
 
 
 # The records are named tuples: immutable, compared and hashed by value,
@@ -133,10 +141,6 @@ class SecurityModel(Frozen, namedtuple(
         return ModelGraph(self)
 
     @cached_property
-    def _findings(self) -> tuple[tuple[Finding, ...], ...]:
-        return _model_findings(self)
-
-    @cached_property
     def _statement_parts(self) -> dict[str, tuple[str, ...]]:
         """Requirement id -> the parts of its relaxed statement that do not
         depend on the RDS, each added by ``paps.relax`` on its first use."""
@@ -152,49 +156,112 @@ class RiskProfile(namedtuple("RiskProfile", "cost technical_ability")):
 
 
 class ModelGraph:
-    """The derivation graph of one model, compiled once.
+    """One model's checks and derivation graph, compiled once: findings,
+    edges, search. One loop over the rules checks each rule and adds its
+    edges if its degree lies in [0, 1]; the graph compares no other value.
 
-    ``adjacency`` maps each rule head to its (child, degree) pairs, sorted
-    by child id, with duplicate edges collapsed to their maximum degree.
-    ``order`` lists every node (declared or only referenced) children first,
-    from one depth-first search (Tarjan 1976) that starts from the nodes in
-    id order and enters children in ``adjacency`` order. The first edge
-    back into the search path ends it: ``cycle`` then holds that path from
-    the edge's target on, closed by the target again (``[G1, G2, G1]``),
-    and ``order`` is None. On an acyclic graph ``cycle`` is None.
-    The search keeps one mark per node: on the path, or finished. It is the
-    only walk of the graph; the rest are single passes over ``order``:
-    ``impact_rows``, computed on first use, goes children first, and
-    validation finds the nodes the root reaches going parents first. The
-    graph checks nothing else: repeated ids and degrees outside [0, 1] are
-    the model's findings.
+    ``findings`` holds ``validate_model``'s findings that need no risk
+    data, in three runs: node ids and the root; rules in natural id order;
+    the graph (the cycle, an error, or the unreachable nodes, warnings),
+    empty if a degree is outside [0, 1]. ``adjacency`` maps each rule head
+    to its (child, degree) pairs, sorted by child id, with duplicate edges
+    collapsed to their maximum degree. ``order`` lists every node (declared
+    or only referenced) children first, from one depth-first search (Tarjan
+    1976) that starts from the nodes in id order and enters children in
+    ``adjacency`` order. The first edge back into the search path ends it:
+    ``cycle`` then holds that path from the edge's target on, closed by the
+    target again (``[G1, G2, G1]``), and ``order`` is None. On an acyclic
+    graph ``cycle`` is None. The search keeps one mark per node: on the
+    path, or finished. It is the only walk of the graph; the rest are single
+    passes over ``order``: ``impact_rows``, computed on first use, goes
+    children first, and the nodes the root reaches are found parents first.
     """
 
     def __init__(self, model: SecurityModel):
-        self._requirements = model._requirements_by_id
-        nodes = model._goals_by_id.keys() | self._requirements.keys()
+        goals = model._goals_by_id
+        self._requirements = requirements = model._requirements_by_id
+        root = model.root
+        nodes: list[Finding] = []
+        declared: set[str] = set()
+        for node in (*model.goals, *model.requirements):
+            if node.id in declared:
+                nodes.append(Finding(CATEGORY_DUPLICATE, "error", node.id,
+                                     "declared more than once"))
+            declared.add(node.id)
+        if root not in declared:
+            nodes.append(Finding(CATEGORY_DANGLING, "error", root,
+                                 "root node is not declared"))
+        elif root not in goals:
+            nodes.append(Finding(CATEGORY_REQ_AS_HEAD, "error", root,
+                                 "root node must be a goal"))
+
+        rules: list[Finding] = []
+        degrees_ok = True
+        rule_ids: set[str] = set()
         adj: dict[str, dict[str, float]] = {}
-        for rule in model.rules:
-            children = adj.get(rule.head)
+        for rule_id, head, body, degree in model.rules:
+            if rule_id in rule_ids:
+                rules.append(Finding(CATEGORY_DUPLICATE, "error", rule_id,
+                                     "rule id declared more than once"))
+            rule_ids.add(rule_id)
+            if head in requirements:
+                rules.append(Finding(CATEGORY_REQ_AS_HEAD, "error", rule_id,
+                                     f"requirement {head} used as rule head"))
+            elif head not in declared:
+                rules.append(Finding(CATEGORY_DANGLING, "error", rule_id,
+                                     f"rule head {head} is not declared"))
+            for child in body:
+                if child not in declared:
+                    rules.append(Finding(
+                        CATEGORY_DANGLING, "error", rule_id,
+                        f"rule body element {child} is not declared"))
+            if not _in_unit(degree):  # such a rule adds no edge
+                degrees_ok = False
+                rules.append(Finding(CATEGORY_RANGE, "error", rule_id,
+                                     f"degree {degree!r} outside [0, 1]"))
+                continue
+            children = adj.get(head)
             if children is None:
-                children = adj[rule.head] = {}
-            degree = rule.degree
-            for child in rule.body:
+                children = adj[head] = {}
+            for child in body:
                 # as max(children.get(child, 0.0), degree): the stored value
-                # stays on a tie, so a -0.0 or NaN degree leaves 0.0
+                # stays on a tie, so a -0.0 degree leaves 0.0
                 if degree > children.get(child, 0.0):
                     children[child] = degree
                 elif child not in children:
                     children[child] = 0.0
+        # id order, not declaration order: findings sort cheaper than rules
+        rules.sort(key=lambda f: natural_key(f.subject))
         self.adjacency: dict[str, tuple[tuple[str, float], ...]] = {
             head: tuple(sorted(children.items()))
             for head, children in adj.items()}
 
+        self._search(sorted(declared | adj.keys()))
+        graph: list[Finding] = []
+        cycle = self.cycle
+        if degrees_ok and cycle is not None:
+            graph.append(Finding(CATEGORY_CYCLE, "error", cycle[0],
+                                 "derivation cycle: " + " -> ".join(cycle)))
+        elif degrees_ok and root in goals:
+            # reversed, the search order has every parent before its children
+            reached = {root}
+            for node in reversed(self.order):
+                if node in reached:
+                    for child, _ in self.adjacency.get(node, ()):
+                        reached.add(child)
+            for node_id in sorted(declared - reached, key=natural_key):
+                graph.append(Finding(CATEGORY_UNREACHABLE, "warning", node_id,
+                                     "no derivation chain from the root goal"))
+        self.findings: tuple[tuple[Finding, ...], ...] = (
+            tuple(nodes), tuple(rules), tuple(graph))
+
+    def _search(self, starts: list[str]) -> None:
+        """Set ``order`` and ``cycle`` by the search from ``starts``."""
         self.cycle: list[str] | None = None
         self.order: tuple[str, ...] | None = None
         order: list[str] = []
         state: dict[str, bool] = {}  # True on the path, False once finished
-        for start in sorted(nodes | set(adj)):
+        for start in starts:
             if start in state:
                 continue
             path = [start]
@@ -226,8 +293,8 @@ class ModelGraph:
         max over its children (c, d) of min(d, row[c][r]), where a
         requirement child also contributes d for itself (Pollack 1960).
         Nodes that reach no requirement have no row. A cycle raises
-        ``ValueError``; the rows of a graph with repeated ids or degrees
-        outside [0, 1] are computed as given (see ``impact_matrix``).
+        ``ValueError``; ``impact_matrix`` also refuses repeated ids and
+        degrees outside [0, 1].
         """
         if self.order is None:
             raise ValueError("derivation cycle: " + " -> ".join(self.cycle))
@@ -314,75 +381,6 @@ def _in_unit(value: object) -> bool:
         return False
 
 
-def _model_findings(model: SecurityModel) -> tuple[tuple[Finding, ...], ...]:
-    """``validate_model``'s findings that need no risk data, in three runs:
-    node ids and the root, rules in natural id order, then the graph (the
-    cycle, an error, or the unreachable nodes, warnings)."""
-    findings: list[Finding] = []
-    declared: set[str] = set()
-    for node_id in [g.id for g in model.goals] + [r.id for r in model.requirements]:
-        if node_id in declared:
-            findings.append(Finding(CATEGORY_DUPLICATE, "error", node_id,
-                                    "declared more than once"))
-        declared.add(node_id)
-
-    goals, requirements = model._goals_by_id, model._requirements_by_id
-
-    if model.root not in declared:
-        findings.append(Finding(CATEGORY_DANGLING, "error", model.root,
-                                "root node is not declared"))
-    elif model.root not in goals:
-        findings.append(Finding(CATEGORY_REQ_AS_HEAD, "error", model.root,
-                                "root node must be a goal"))
-
-    start = len(findings)
-    degrees_ok = True
-    seen_rule_ids: set[str] = set()
-    for rule in model.rules:
-        if rule.id in seen_rule_ids:
-            findings.append(Finding(CATEGORY_DUPLICATE, "error", rule.id,
-                                    "rule id declared more than once"))
-        seen_rule_ids.add(rule.id)
-        if rule.head in requirements:
-            findings.append(Finding(CATEGORY_REQ_AS_HEAD, "error", rule.id,
-                                    f"requirement {rule.head} used as rule head"))
-        elif rule.head not in declared:
-            findings.append(Finding(CATEGORY_DANGLING, "error", rule.id,
-                                    f"rule head {rule.head} is not declared"))
-        for child in rule.body:
-            if child not in declared:
-                findings.append(Finding(CATEGORY_DANGLING, "error", rule.id,
-                                        f"rule body element {child} is not declared"))
-        if not _in_unit(rule.degree):
-            degrees_ok = False
-            findings.append(Finding(CATEGORY_RANGE, "error", rule.id,
-                                    f"degree {rule.degree!r} outside [0, 1]"))
-    # id order, not declaration order; sorting findings, not rules, is cheap
-    findings[start:] = sorted(findings[start:], key=lambda f: natural_key(f.subject))
-    end = len(findings)
-
-    # The graph compares the degrees, so it is read only if all lie in [0, 1].
-    cycle = model.graph.cycle if degrees_ok else None
-    if cycle is not None:
-        findings.append(Finding(CATEGORY_CYCLE, "error", cycle[0],
-                                "derivation cycle: " + " -> ".join(cycle)))
-
-    if model.root in goals and degrees_ok and cycle is None:
-        # reversed, the search order has every parent before its children
-        adjacency = model.graph.adjacency
-        reached = {model.root}
-        for node in reversed(model.graph.order):
-            if node in reached:
-                for child, _ in adjacency.get(node, ()):
-                    reached.add(child)
-        for node_id in sorted([i for i in declared if i not in reached],
-                              key=natural_key):
-            findings.append(Finding(CATEGORY_UNREACHABLE, "warning", node_id,
-                                    "no derivation chain from the root goal"))
-
-    return tuple(findings[:start]), tuple(findings[start:end]), tuple(findings[end:])
-
-
 def _risk_findings(req_id: str, risk: RiskProfile) -> Iterator[Finding]:
     """One requirement's missing or out-of-[0, 1] cost, then technical
     ability; NaN is out of range."""
@@ -405,7 +403,7 @@ def _refuse(finding: Finding) -> None:
 
 def validate_model(model: SecurityModel, risk: RiskProfile) -> ValidationReport:
     """Check every structural invariant; never raises, always reports."""
-    nodes, rules, graph = model._findings
+    nodes, rules, graph = model.graph.findings
     by_id = list(rules)
     cost, tech = risk.cost.get, risk.technical_ability.get
     for req in model.requirements:

@@ -67,6 +67,13 @@ def _quoted(text: str, node_id: str, field: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _id(node_id: str) -> str:
+    """``node_id``, refused unless ``_ID`` matches all of it."""
+    if not (node_id.isascii() and node_id.isidentifier()):
+        raise ValueError(f"{node_id}: id must match {_ID}")
+    return node_id
+
+
 def _column(raw: str) -> int:
     """The column of the first non-blank character of the line ``raw``."""
     return len(raw) - len(raw.lstrip()) + 1
@@ -234,15 +241,18 @@ def serialize_model(model: SecurityModel, risk: RiskProfile) -> str:
 
     The root goal is emitted first so the round-trip keeps the same root
     (the parser takes the first goal as root), and every number parses
-    back to the same float. A description, metric or connector holding a
-    line break raises ``ValueError``.
+    back to the same float. What ``parse_model`` would reject raises
+    ``ValueError`` naming the node or rule and the field: an id that
+    ``_ID`` does not match, a description, metric or connector holding a
+    line break, an ov that is not positive and finite, an empty rule body.
     """
     lines: list[str] = []
     for goal in model.sorted_goals():
-        lines.append(
-            f"goal {goal.id} {_quoted(goal.description, goal.id, 'description')}")
+        lines.append(f"goal {_id(goal.id)} "
+                     f"{_quoted(goal.description, goal.id, 'description')}")
     for req in model.sorted_requirements():
-        parts = [f"req {req.id} {_quoted(req.description, req.id, 'description')}",
+        parts = [f"req {_id(req.id)} "
+                 f"{_quoted(req.description, req.id, 'description')}",
                  f"cost={_exact_number(risk.cost[req.id])}",
                  f"tech={_exact_number(risk.technical_ability[req.id])}"]
         if req.metric is not None:
@@ -251,9 +261,14 @@ def serialize_model(model: SecurityModel, risk: RiskProfile) -> str:
             parts.append(
                 f"connector={_quoted(req.connector, req.id, 'connector')}")
         if req.ov is not None:
+            if not 0.0 < req.ov < _INF:
+                raise ValueError(f"{req.id}: ov must be positive and "
+                                 f"finite, got {req.ov!r}")
             parts.append(f"ov={_exact_number(req.ov)}")
         lines.append(" ".join(parts))
     for rule in sorted(model.rules, key=lambda r: natural_key(r.id)):
-        lines.append(f"rule {rule.id}: {rule.head} -> "
+        if not rule.body:
+            raise ValueError(f"{rule.id}: body is empty")
+        lines.append(f"rule {_id(rule.id)}: {rule.head} -> "
                      f"{' '.join(rule.body)} @ {_exact_number(rule.degree)}")
     return "\n".join(lines) + "\n"

@@ -374,6 +374,21 @@ class TestRelax:
         assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["impacts", "prioritize", "relax"])
+def test_an_id_with_a_long_digit_run_is_served(runner, tmp_path, command):
+    # 5 000 digits, past CPython's limit on int() of a string (4 300)
+    long_id = "R" + "1" * 5000
+    path = tmp_path / "long.srm"
+    path.write_text(
+        f'goal S "s"\nreq {long_id} "a" cost=0.5 tech=0.5 metric="m"\n'
+        'req R2 "b" cost=0.5 tech=0.5 metric="m"\n'
+        f"rule P1: S -> {long_id} R2 @ 0.5\n")
+    result = _invoke(runner, command, str(path), "--format", "json")
+    assert (result.exit_code, result.stderr) == (0, "")
+    text = result.stdout
+    assert 0 < text.index('"R2"') < text.index(f'"{long_id}"')
+
+
 def _run_module(*args, env=None, **kwargs):
     """``python -m paps.cli ARGS`` in a fresh interpreter on this source."""
     src = Path(paps.__file__).resolve().parent.parent

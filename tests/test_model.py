@@ -37,6 +37,16 @@ def _longer_cycle_model():
         root="S")
 
 
+class _CountedRules(tuple):
+    """A rule tuple that counts how often it is iterated."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
 def _risk(**overrides):
     base = {"R1": 0.5}
     cost = dict(base)
@@ -202,10 +212,19 @@ class TestGraph:
 
     def test_model_findings_are_found_once_per_model(self, obs):
         model, risk = paps.parse_model(paps.obs_fixture_text())
-        findings = model._findings
+        findings = model.graph.findings
         assert validate_model(model, RiskProfile({}, {})).errors
         assert validate_model(model, risk).ok
-        assert model._findings is findings
+        assert model.graph.findings is findings
+
+    def test_rules_are_read_once(self, obs):
+        # One loop over the rules both checks them and builds the graph.
+        model, risk = obs
+        rules = _CountedRules(model.rules)
+        model = model._replace(rules=rules)
+        assert validate_model(model, risk).ok
+        impact_matrix(model)
+        assert rules.reads == 1
 
     def test_validation_leaves_impact_rows_unbuilt(self, obs):
         model = paps.parse_model(paps.obs_fixture_text())[0]
@@ -299,7 +318,8 @@ def _declared_models(draw, strays: bool = False) -> SecurityModel:
     duplicate edges and requirement heads all occur. Goals are declared in
     a drawn order, so id order and declaration order differ. With
     ``strays``, rule bodies also name undeclared ids, one degree may lie
-    outside [0, 1], and the root may be a requirement or undeclared."""
+    outside [0, 1] or not be a number, and the root may be a requirement
+    or undeclared."""
     goals = draw(st.permutations(
         [f"G{i}" for i in range(draw(st.integers(1, 12)))]))
     reqs = [f"R{i}" for i in range(draw(st.integers(0, 4)))]
@@ -315,7 +335,7 @@ def _declared_models(draw, strays: bool = False) -> SecurityModel:
         if rules and draw(st.booleans()):
             i = draw(st.integers(0, len(rules) - 1))
             rules[i] = rules[i]._replace(degree=draw(st.sampled_from(
-                [0.5, -0.5, 1.5, float("nan")])))
+                [0.5, -0.5, 1.5, float("nan"), "0.5", None])))
         root = draw(st.sampled_from([*goals, *reqs, "X1"]))
     return SecurityModel(
         goals=tuple(map(Goal, goals)),
@@ -351,14 +371,20 @@ class TestDepthFirstSearchAgainstReferences:
                 assert at[child] < at[head]
 
 
+def _in_unit(degree) -> bool:
+    return isinstance(degree, float) and 0 <= degree <= 1
+
+
 class TestUnreachableWarnings:
     @given(_declared_models(strays=True))
     def test_warnings_name_what_a_walk_over_the_rules_misses(self, model):
         warned = [f.subject for f in validate_model(model, _risk()).findings
                   if f.category == "unreachable-node"]
         goals = {g.id for g in model.goals}
-        if (model.root not in goals or _kahn_order(model) is None
-                or not all(0 <= r.degree <= 1 for r in model.rules)):
+        # _kahn_order compares the degrees, so they are checked first
+        if (model.root not in goals
+                or not all(_in_unit(r.degree) for r in model.rules)
+                or _kahn_order(model) is None):
             assert warned == []
             return
         reached, frontier = {model.root}, [model.root]
@@ -372,6 +398,25 @@ class TestUnreachableWarnings:
         assert warned == sorted(declared - reached, key=natural_key)
 
 
+class TestOutOfRangeDegrees:
+    @given(_declared_models(strays=True))
+    def test_such_a_rule_adds_no_edge(self, model):
+        """The graph is that of the model without the rule, and the
+        findings are that model's, with the rule's own added and no graph
+        finding."""
+        kept = tuple(r for r in model.rules if _in_unit(r.degree))
+        dropped = [r.id for r in model.rules if not _in_unit(r.degree)]
+        clean = model._replace(rules=kept)
+        assert adjacency(model) == adjacency(clean)
+        nodes, rules, graph = model.graph.findings
+        clean_nodes, clean_rules, clean_graph = clean.graph.findings
+        assert nodes == clean_nodes
+        assert [f for f in rules
+                if f.subject not in dropped] == list(clean_rules)
+        assert [f.subject for f in rules if f.category == "range"] == dropped
+        assert graph == (() if dropped else clean_graph)
+
+
 def _letter_first_key(node_id: str) -> tuple:
     """``natural_key`` as it was when the key dropped empty parts: right
     for ids that start with a letter, and raising TypeError when such an
@@ -382,7 +427,7 @@ def _letter_first_key(node_id: str) -> tuple:
 
 LETTER_FIRST_IDS = st.builds(
     str.__add__, st.sampled_from("ABGRSabz_"),
-    st.text("ABRa_-.0123456789", max_size=8))
+    st.text("ABRa_-.0123456789\u0661\u0669", max_size=8))
 
 
 class TestNaturalKey:
@@ -391,8 +436,17 @@ class TestNaturalKey:
         assert natural_key("R01") < natural_key("R1")
         assert natural_key("1A") < natural_key("A1") < natural_key("A1b")
 
+    def test_runs_past_the_int_conversion_limit_compare(self):
+        nines, power = "R" + "9" * 4999, "R1" + "0" * 4999
+        assert natural_key(nines) < natural_key(power)
+        assert natural_key("R0" + power[1:]) < natural_key(power)
+        assert sorted([power, nines, "R2"], key=natural_key) == [
+            "R2", nines, power]
+
     @given(LETTER_FIRST_IDS, LETTER_FIRST_IDS)
     @example("R1", "R01")
+    @example("R\u0661\u0660", "R9")
+    @example("R\u0661", "R01")
     def test_letter_first_ids_compare_as_before(self, a, b):
         """Keys are equal only for equal ids, and where the old keys
         differ the order agrees with them."""

@@ -9,7 +9,8 @@ import paps
 from generators import NOT_LINE_BREAKS, bench_gen, random_valid_model
 from paps.source import NUMBER, split_lines
 from paps import srm
-from paps.model import Goal, Requirement, RiskProfile, SecurityModel
+from paps.model import (DerivationRule, Goal, Requirement, RiskProfile,
+                        SecurityModel, validate_model)
 from paps.pipeline import prioritize, report_csv
 from paps.relax import relax_srl, relax_text
 from paps.srm import SrmError, format_number, parse_model, serialize_model
@@ -428,6 +429,38 @@ class TestSerialize:
         # text would not parse back.
         model = SecurityModel((goal,), (req,), (), "G1")
         risk = RiskProfile({"R1": 0.5}, {"R1": 0.5})
+        with pytest.raises(ValueError) as exc:
+            serialize_model(model, risk)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("goal,req,rules,message", [
+        (Goal("1A"), Requirement("R1"), (),
+         "1A: id must match [A-Za-z_][A-Za-z0-9_]*"),
+        (Goal("G 1"), Requirement("R1"), (),
+         "G 1: id must match [A-Za-z_][A-Za-z0-9_]*"),
+        (Goal("G1"), Requirement("G\u00e9"), (),
+         "G\u00e9: id must match [A-Za-z_][A-Za-z0-9_]*"),
+        (Goal("G1"), Requirement("R1"),
+         (DerivationRule("P-1", "G1", ("R1",), 0.5),),
+         "P-1: id must match [A-Za-z_][A-Za-z0-9_]*"),
+        (Goal("G1"), Requirement("R1"), (DerivationRule("P1", "G1", (), 0.5),),
+         "P1: body is empty"),
+        (Goal("G1"), Requirement("R1", ov=0.0), (),
+         "R1: ov must be positive and finite, got 0.0"),
+        (Goal("G1"), Requirement("R1", ov=-1.0), (),
+         "R1: ov must be positive and finite, got -1.0"),
+        (Goal("G1"), Requirement("R1", ov=float("inf")), (),
+         "R1: ov must be positive and finite, got inf"),
+        (Goal("G1"), Requirement("R1", ov=float("nan")), (),
+         "R1: ov must be positive and finite, got nan"),
+    ], ids=["digit-first", "space", "non-ascii", "rule-id", "empty-body",
+            "ov-zero", "ov-negative", "ov-inf", "ov-nan"])
+    def test_what_the_parser_rejects_is_refused(self, goal, req, rules,
+                                                 message):
+        # Each model validates, but its text as written would not parse.
+        model = SecurityModel((goal,), (req,), rules, goal.id)
+        risk = RiskProfile({req.id: 0.5}, {req.id: 0.5})
+        assert validate_model(model, risk).ok
         with pytest.raises(ValueError) as exc:
             serialize_model(model, risk)
         assert str(exc.value) == message
