@@ -121,7 +121,7 @@ def _for_goal(model_path: str, goal: str | None, rules: str | None,
     _check_valid(model, risk)
     config, rulebase = _load(parse_rulebase, rules)
     target = model.root if goal is None else goal
-    if target not in model._goals_by_id:
+    if target not in model.graph.goals:
         _fail(f"unknown goal {target!r}")
     try:
         return run(model, risk, target, config, rulebase)

@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from types import MappingProxyType
 
 from . import render
-from .model import CATEGORY_DUPLICATE, CATEGORY_RANGE, _refuse
+from .model import _refuse
 # ``adjacency`` is imported for bench/tracing.py, which wraps it here.
 from .model import SecurityModel, adjacency  # noqa: F401
 
@@ -138,24 +138,13 @@ class ImpactMatrix(namedtuple("ImpactMatrix", "goals requirements rows")):
         return "".join(self.json_blocks(goals))
 
 
-def _rows(model: SecurityModel) -> dict[str, dict[str, float]]:
-    """``model.graph.impact_rows``, refused for the model's first repeated
-    goal or requirement id, else its first degree outside [0, 1]."""
-    nodes, rules, _ = model.graph.findings
-    for run, category in ((nodes, CATEGORY_DUPLICATE), (rules, CATEGORY_RANGE)):
-        for finding in run:
-            if finding.category == category:
-                _refuse(finding)
-    return model.graph.impact_rows
-
-
 def impact(model: SecurityModel, goal: str, requirement: str) -> float:
     """Max over derivation paths of the min rule degree; 0 if no path."""
-    rows = _rows(model)
-    requirements = model._requirements_by_id
-    if goal not in model._goals_by_id and goal not in requirements:
+    graph = model.graph
+    rows = graph.impact_rows
+    if goal not in graph.goals and goal not in graph.requirements:
         raise KeyError(f"unknown node {goal!r}")
-    if requirement not in requirements:
+    if requirement not in graph.requirements:
         raise KeyError(f"unknown requirement {requirement!r}")
     return rows.get(goal, _NO_CELLS).get(requirement, 0.0)
 
@@ -163,7 +152,7 @@ def impact(model: SecurityModel, goal: str, requirement: str) -> float:
 def impact_matrix(model: SecurityModel) -> ImpactMatrix:
     """Every goal's impacts; undeclared nodes are laid out as any other,
     a repeated id, a degree outside [0, 1] or a cycle refused."""
-    rows = _rows(model)
+    rows = model.graph.impact_rows
     goals = tuple(g.id for g in model.sorted_goals())
     requirements = tuple(r.id for r in model.sorted_requirements())
     # Read-only views: the rows stay cached on the model.
@@ -176,14 +165,13 @@ def build_srl(model: SecurityModel,
     """(requirement, impact) for every requirement with positive impact on
     the goal, strongest first, ties in natural requirement id order. A
     model that ``validate_model`` reports an error for is refused with the
-    first error, before the goal is looked up (``P3: requirement R1 used
-    as rule head``)."""
-    nodes, rules, graph = model.graph.findings
-    for finding in (*nodes, *rules, *graph[:1]):  # the errors come first
-        if finding.severity == "error":
-            _refuse(finding)
-    if goal not in model._goals_by_id:
+    graph's first error, before the goal is looked up (``P3: requirement
+    R1 used as rule head``)."""
+    graph = model.graph
+    if graph.error is not None:
+        _refuse(graph.error)
+    if goal not in graph.goals:
         raise KeyError(f"unknown goal {goal!r}")
     rank = model._requirement_ranks
-    return tuple(sorted(model.graph.impact_rows.get(goal, _NO_CELLS).items(),
+    return tuple(sorted(graph.impact_rows.get(goal, _NO_CELLS).items(),
                         key=lambda e: (-e[1], rank[e[0]])))

@@ -94,13 +94,13 @@ class SecurityModel(Frozen, namedtuple(
 
     def goal(self, goal_id: str) -> Goal:
         try:
-            return self._goals_by_id[goal_id]
+            return self.graph.goals[goal_id]
         except KeyError:
             raise KeyError(f"unknown goal {goal_id!r}") from None
 
     def requirement(self, req_id: str) -> Requirement:
         try:
-            return self._requirements_by_id[req_id]
+            return self.graph.requirements[req_id]
         except KeyError:
             raise KeyError(f"unknown requirement {req_id!r}") from None
 
@@ -117,14 +117,6 @@ class SecurityModel(Frozen, namedtuple(
     # Derived data, built on first use and kept in the instance __dict__
     # (cached_property writes there directly, past ``Frozen``, and the
     # __dict__ never enters __eq__ or __hash__).
-
-    @cached_property
-    def _goals_by_id(self) -> dict[str, Goal]:
-        return {g.id: g for g in reversed(self.goals)}  # first one wins
-
-    @cached_property
-    def _requirements_by_id(self) -> dict[str, Requirement]:
-        return {r.id: r for r in reversed(self.requirements)}
 
     @cached_property
     def _sorted_requirements(self) -> tuple[Requirement, ...]:
@@ -156,38 +148,47 @@ class RiskProfile(namedtuple("RiskProfile", "cost technical_ability")):
 
 
 class ModelGraph:
-    """One model's checks and derivation graph, compiled once: findings,
-    edges, search. One loop over the rules checks each rule and adds its
-    edges if its degree lies in [0, 1]; the graph compares no other value.
+    """One model's checks and derivation graph, compiled once. One loop over
+    the nodes fills the id tables and finds repeated ids; one over the rules
+    checks each rule and adds its edges if its degree lies in [0, 1]; the
+    graph compares no other value.
 
-    ``findings`` holds ``validate_model``'s findings that need no risk
-    data, in three runs: node ids and the root; rules in natural id order;
-    the graph (the cycle, an error, or the unreachable nodes, warnings),
-    empty if a degree is outside [0, 1]. ``adjacency`` maps each rule head
-    to its (child, degree) pairs, sorted by child id, with duplicate edges
-    collapsed to their maximum degree. ``order`` lists every node (declared
-    or only referenced) children first, from one depth-first search (Tarjan
-    1976) that starts from the nodes in id order and enters children in
-    ``adjacency`` order. The first edge back into the search path ends it:
-    ``cycle`` then holds that path from the edge's target on, closed by the
-    target again (``[G1, G2, G1]``), and ``order`` is None. On an acyclic
-    graph ``cycle`` is None. The search keeps one mark per node: on the
-    path, or finished. It is the only walk of the graph; the rest are single
-    passes over ``order``: ``impact_rows``, computed on first use, goes
-    children first, and the nodes the root reaches are found parents first.
+    ``goals`` and ``requirements`` map an id to the first goal, or the first
+    requirement, declared with it. ``findings`` holds ``validate_model``'s
+    findings that need no risk data, in three runs: node ids and the root;
+    rules in natural id order; the graph (the cycle, an error, or the
+    unreachable nodes, warnings), empty if a degree is outside [0, 1].
+    ``error`` is the first error among them, which ``build_srl`` refuses;
+    ``rows_error`` the first repeated id, degree outside [0, 1] or cycle,
+    which ``impact_rows`` refuses; each is None if there is none.
+    ``adjacency`` maps each rule head to its (child, degree) pairs, sorted
+    by child id, with duplicate edges collapsed to their maximum degree.
+    ``order`` lists every node (declared or only referenced) children first,
+    from one depth-first search (Tarjan 1976) that starts from the nodes in
+    id order and enters children in ``adjacency`` order. The first edge back
+    into the search path ends it: ``cycle`` then holds that path from the
+    edge's target on, closed by the target again (``[G1, G2, G1]``), and
+    ``order`` is None. On an acyclic graph ``cycle`` is None. The search
+    keeps one mark per node: on the path, or finished. It is the only walk
+    of the graph; the rest are single passes over ``order``:
+    ``impact_rows``, computed on first use, goes children first, and the
+    nodes the root reaches are found parents first.
     """
 
     def __init__(self, model: SecurityModel):
-        goals = model._goals_by_id
-        self._requirements = requirements = model._requirements_by_id
-        root = model.root
+        self.goals: dict[str, Goal] = {}
+        self.requirements: dict[str, Requirement] = {}
+        goals, requirements, root = self.goals, self.requirements, model.root
         nodes: list[Finding] = []
         declared: set[str] = set()
-        for node in (*model.goals, *model.requirements):
-            if node.id in declared:
-                nodes.append(Finding(CATEGORY_DUPLICATE, "error", node.id,
-                                     "declared more than once"))
-            declared.add(node.id)
+        for table, run in ((goals, model.goals),
+                           (requirements, model.requirements)):
+            for node in run:
+                if node.id in declared:
+                    nodes.append(Finding(CATEGORY_DUPLICATE, "error", node.id,
+                                         "declared more than once"))
+                declared.add(node.id)
+                table.setdefault(node.id, node)  # the first one wins
         if root not in declared:
             nodes.append(Finding(CATEGORY_DANGLING, "error", root,
                                  "root node is not declared"))
@@ -254,6 +255,13 @@ class ModelGraph:
                                      "no derivation chain from the root goal"))
         self.findings: tuple[tuple[Finding, ...], ...] = (
             tuple(nodes), tuple(rules), tuple(graph))
+        self.error: Finding | None = next(
+            (f for run in self.findings for f in run if f.severity == "error"),
+            None)
+        self.rows_error: Finding | None = next(
+            (f for run, category in zip(self.findings, (
+                CATEGORY_DUPLICATE, CATEGORY_RANGE, CATEGORY_CYCLE))
+             for f in run if f.category == category), None)
 
     def _search(self, starts: list[str]) -> None:
         """Set ``order`` and ``cycle`` by the search from ``starts``."""
@@ -292,13 +300,13 @@ class ModelGraph:
         One pass over ``order``, children first: the row of a node is the
         max over its children (c, d) of min(d, row[c][r]), where a
         requirement child also contributes d for itself (Pollack 1960).
-        Nodes that reach no requirement have no row. A cycle raises
-        ``ValueError``; ``impact_matrix`` also refuses repeated ids and
-        degrees outside [0, 1].
+        Nodes that reach no requirement have no row. ``rows_error`` (a
+        repeated id, a degree outside [0, 1] or a cycle) raises
+        ``ValueError`` in ``validate_model``'s words.
         """
-        if self.order is None:
-            raise ValueError("derivation cycle: " + " -> ".join(self.cycle))
-        requirements = self._requirements
+        if self.rows_error is not None:
+            _refuse(self.rows_error)
+        requirements = self.requirements
         rows: dict[str, dict[str, float]] = {}
         for node in self.order:
             children = self.adjacency.get(node)

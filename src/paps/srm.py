@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import re
 
-from .model import (DerivationRule, Goal, Requirement, RiskProfile,
-                    SecurityModel, natural_key)
+from .model import (CATEGORY_CYCLE, CATEGORY_REQ_AS_HEAD, DerivationRule,
+                    Goal, Requirement, RiskProfile, SecurityModel, _refuse,
+                    natural_key, validate_model)
 from .source import NUMBER, ParseError, split_lines
 
 
@@ -241,11 +242,21 @@ def serialize_model(model: SecurityModel, risk: RiskProfile) -> str:
 
     The root goal is emitted first so the round-trip keeps the same root
     (the parser takes the first goal as root), and every number parses
-    back to the same float. What ``parse_model`` would reject raises
-    ``ValueError`` naming the node or rule and the field: an id that
+    back to the same float. What ``parse_model`` would reject, or read
+    back as another model, raises ``ValueError``. First comes the first
+    error ``validate_model`` reports, in its words (``R1: cost 1.5 outside
+    [0, 1]``), other than a cycle or a requirement used as rule head, which
+    the text keeps. Then each field names the node or rule: an id that
     ``_ID`` does not match, a description, metric or connector holding a
     line break, an ov that is not positive and finite, an empty rule body.
     """
+    # A root that is a requirement is a node finding; the parser would
+    # take the first goal as root instead.
+    nodes = model.graph.findings[0]
+    for finding in validate_model(model, risk).errors:
+        if finding in nodes or finding.category not in (
+                CATEGORY_CYCLE, CATEGORY_REQ_AS_HEAD):
+            _refuse(finding)
     lines: list[str] = []
     for goal in model.sorted_goals():
         lines.append(f"goal {_id(goal.id)} "

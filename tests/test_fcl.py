@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -281,16 +282,26 @@ def _mutate_rules(rng, text: str) -> str:
     return "\n".join(lines)
 
 
+# The outcome of every mutant, recorded with the parser at the time the
+# digest was added: a later parser must fail at the same places with the
+# same words, and read the rest to the same records.
+RULES_MUTANT_DIGEST = (
+    "04fcf3691c5a568433953d50c3564bb79109dc5e8835e28d32102a455fb0145a")
+
+
 def test_mutants_fail_only_with_a_positioned_error():
     rng = random.Random(20261020)
     failed = 0
+    # Each outcome: the records (repr keeps a float's every digit and the
+    # sign of -0.0), or the error's line, column and message.
+    outcomes = []
     for base, count in ((SMALL, 1500), (paps.default_rules_text(), 300)):
         for _ in range(count):
             text = base
             for _ in range(rng.choice((1, 1, 2, 3))):
                 text = _mutate_rules(rng, text)
             try:
-                parse_rulebase(text)
+                outcomes.append(repr(parse_rulebase(text)))
             except FclError as exc:
                 failed += 1
                 lines = split_lines(text)
@@ -298,4 +309,7 @@ def test_mutants_fail_only_with_a_positioned_error():
                 width = (len(lines[exc.line - 1]) if exc.line <= len(lines)
                          else 0)
                 assert 1 <= exc.column <= width + 1, (text, exc)
+                outcomes.append(f"error {exc.line} {exc.column} {exc.message}")
     assert failed > 1000  # most of the 1 800 mutants are broken
+    digest = hashlib.sha256("\0".join(outcomes).encode()).hexdigest()
+    assert digest == RULES_MUTANT_DIGEST

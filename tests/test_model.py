@@ -47,6 +47,14 @@ class _CountedRules(tuple):
         return super().__iter__()
 
 
+class _CountedNodes(_CountedRules):
+    """Counts ``reversed`` too, which on a tuple bypasses ``__iter__``."""
+
+    def __reversed__(self):
+        self.reads += 1
+        return iter(self[::-1])  # a slice of a tuple subclass is a tuple
+
+
 def _risk(**overrides):
     base = {"R1": 0.5}
     cost = dict(base)
@@ -226,6 +234,18 @@ class TestGraph:
         impact_matrix(model)
         assert rules.reads == 1
 
+    def test_nodes_are_read_once(self, obs):
+        # One loop over the goals and requirements fills the id tables and
+        # finds the repeated ids.
+        model, _ = obs
+        goals = _CountedNodes(model.goals)
+        requirements = _CountedNodes(model.requirements)
+        model = model._replace(goals=goals, requirements=requirements)
+        model.graph
+        assert (goals.reads, requirements.reads) == (1, 1)
+        assert model.goal("S") == goals[0]
+        assert (goals.reads, requirements.reads) == (1, 1)
+
     def test_validation_leaves_impact_rows_unbuilt(self, obs):
         model = paps.parse_model(paps.obs_fixture_text())[0]
         validate_model(model, obs[1])
@@ -247,6 +267,15 @@ class TestGraph:
             model.goal("R1")
         with pytest.raises(KeyError):
             model.requirement("S")
+        # A goal and a requirement sharing an id are each found as what
+        # they are; of two requirements sharing an id, the first wins.
+        model = SecurityModel(
+            goals=(Goal("S"), Goal("X", "goal")),
+            requirements=(Requirement("X", "req"), Requirement("R1", "first"),
+                          Requirement("R1", "second")), rules=(), root="S")
+        assert model.goal("X") == Goal("X", "goal")
+        assert model.requirement("X") == Requirement("X", "req")
+        assert model.requirement("R1").description == "first"
 
 
 # Reference copies of the two graph walks the depth-first search in

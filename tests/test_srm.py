@@ -465,6 +465,68 @@ class TestSerialize:
             serialize_model(model, risk)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("goals,reqs,rules,root,cost,tech,message", [
+        ("S", "R1", "", "S", 1.5, 0.5, "R1: cost 1.5 outside [0, 1]"),
+        ("S", "R1", "", "S", float("nan"), 0.5, "R1: cost nan outside [0, 1]"),
+        ("S", "R1", "", "S", 0.5, -0.25,
+         "R1: technical ability -0.25 outside [0, 1]"),
+        ("S", "R1", "", "S", None, 0.5, "R1: no cost value"),
+        ("S", "R1", "P1:S>R1@1.5", "S", 0.5, 0.5,
+         "P1: degree 1.5 outside [0, 1]"),
+        ("S", "R1", "P1:S>R1@nan", "S", 0.5, 0.5,
+         "P1: degree nan outside [0, 1]"),
+        ("S S", "R1", "", "S", 0.5, 0.5, "S: declared more than once"),
+        ("S", "S", "", "S", 0.5, 0.5, "S: declared more than once"),
+        ("S", "R1", "P1:S>R1@1 P1:S>R1@1", "S", 0.5, 0.5,
+         "P1: rule id declared more than once"),
+        ("S", "R1", "P1:S>X@1", "S", 0.5, 0.5,
+         "P1: rule body element X is not declared"),
+        ("S", "R1", "P1:X>R1@1", "S", 0.5, 0.5,
+         "P1: rule head X is not declared"),
+        ("S", "R1", "", "R1", 0.5, 0.5, "R1: root node must be a goal"),
+        ("S", "R1", "", "X", 0.5, 0.5, "X: root node is not declared"),
+    ], ids=["cost-over-one", "cost-nan", "tech-negative", "cost-missing",
+            "degree-over-one", "degree-nan", "goal-repeated",
+            "goal-and-requirement", "rule-repeated", "body-undeclared",
+            "head-undeclared", "root-requirement", "root-undeclared"])
+    def test_what_validate_reports_is_refused(self, goals, reqs, rules, root,
+                                              cost, tech, message):
+        # Written out, each model would not parse, or would read back with
+        # another root: refused in validate_model's own words.
+        model = _model(goals, reqs, rules, root)
+        ids = reqs.split()
+        risk = RiskProfile({} if cost is None else dict.fromkeys(ids, cost),
+                           dict.fromkeys(ids, tech))
+        assert str(validate_model(model, risk).errors[0]).endswith(message)
+        with pytest.raises(ValueError) as exc:
+            serialize_model(model, risk)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("rules", [
+        "P1:S>G1@1 P2:G1>G2@1 P3:G2>G1@0.5", "P1:S>R1@1 P2:R1>G1@0.5",
+    ], ids=["cycle", "requirement-head"])
+    def test_what_the_parser_keeps_is_written(self, rules):
+        # A cycle and a requirement used as rule head are errors of the
+        # model, not of its text: both read back unchanged.
+        model = _model("S G1 G2", "R1", rules, "S")
+        risk = RiskProfile({"R1": 0.5}, {"R1": 0.5})
+        assert not validate_model(model, risk).ok
+        assert parse_model(serialize_model(model, risk)) == (model, risk)
+
+
+def _model(goals: str, reqs: str, rules: str, root: str) -> SecurityModel:
+    """Goals and requirements by id; each rule written ``P1:S>R1,R2@0.5``."""
+    parsed = []
+    for rule in rules.split():
+        rule_id, rest = rule.split(":")
+        head, rest = rest.split(">")
+        body, degree = rest.split("@")
+        parsed.append(DerivationRule(rule_id, head, tuple(body.split(",")),
+                                     float(degree)))
+    return SecurityModel(tuple(map(Goal, goals.split())),
+                         tuple(map(Requirement, reqs.split())),
+                         tuple(parsed), root)
+
 
 # --- the parser against a recorded corpus of broken and odd models ---------
 #
