@@ -167,11 +167,24 @@ def build_srl(model: SecurityModel,
     model that ``validate_model`` reports an error for is refused with the
     graph's first error, before the goal is looked up (``P3: requirement
     R1 used as rule head``)."""
+    return tuple(sorted(_goal_row(model, goal).items(),
+                        key=_strongest_first(model)))
+
+
+def _goal_row(model: SecurityModel, goal: str) -> Mapping[str, float]:
+    """The goal's non-zero impacts in stored order, after ``build_srl``'s
+    refusals of a model error and an unknown goal."""
     graph = model.graph
     if graph.error is not None:
         _refuse(graph.error)
     if goal not in graph.goals:
         raise KeyError(f"unknown goal {goal!r}")
+    return graph.impact_rows.get(goal, _NO_CELLS)
+
+
+def _strongest_first(model: SecurityModel
+                     ) -> Callable[[tuple], tuple[float, int]]:
+    """``build_srl``'s sort key of a tuple that starts (requirement,
+    impact): highest impact first, ties in natural requirement id order."""
     rank = model._requirement_ranks
-    return tuple(sorted(graph.impact_rows.get(goal, _NO_CELLS).items(),
-                        key=lambda e: (-e[1], rank[e[0]])))
+    return lambda e: (-e[1], rank[e[0]])

@@ -158,7 +158,8 @@ class ModelGraph:
     findings that need no risk data, in three runs: node ids and the root;
     rules in natural id order; the graph (the cycle, an error, or the
     unreachable nodes, warnings), empty if a degree is outside [0, 1].
-    ``error`` is the first error among them, which ``build_srl`` refuses;
+    ``error`` is the first error among them, which ``build_srl`` and
+    ``prioritize`` refuse;
     ``rows_error`` the first repeated id, degree outside [0, 1] or cycle,
     which ``impact_rows`` refuses; each is None if there is none.
     ``adjacency`` maps each rule head to its (child, degree) pairs, sorted

@@ -9,7 +9,9 @@ from . import render
 from .fcl import check_inputs
 from .fuzzy import (NoActivationError, RuleBase, UniverseError, VariableConfig,
                     defuzzify_cog, fuzzify, infer, label, short_label)
-from .impact import build_srl
+from .impact import _goal_row, _strongest_first
+# ``build_srl`` is imported for bench/tracing.py, which wraps it here.
+from .impact import build_srl  # noqa: F401
 from .model import RiskProfile, SecurityModel, _refuse, _risk_findings
 
 
@@ -47,7 +49,11 @@ def prioritize(model: SecurityModel, risk: RiskProfile, goal: str,
     Each distinct ``(impact, cost, tech)`` triple is scored once per rule
     base and config (see ``RuleBase``) by ``fuzzify``, ``infer``,
     ``defuzzify_cog`` and ``label``, looked up here so that wrappers
-    installed in this module see them.
+    installed in this module see them. The goal's impact row is read as
+    stored: a triple the memo holds becomes an entry at once, and the
+    misses are scored afterwards in ``build_srl`` order, so the first
+    refusal is that of the first refused contributor in that order. The
+    entries are then sorted once.
     """
     output = config.output
     held = rulebase._scores
@@ -61,12 +67,23 @@ def prioritize(model: SecurityModel, risk: RiskProfile, goal: str,
     # constructor stands in for the named tuple's slower Python one
     new_entry = tuple.__new__
     entries: list[PrioritizedEntry] = []
-    for req_id, impact_value in build_srl(model, goal):
-        cost, tech = cost_of(req_id), tech_of(req_id)
+    misses = []
+    for req_id, impact_value in _goal_row(model, goal).items():
         # -0.0 and 0.0 fuzzify alike; a missing (None), NaN or out-of-range
         # value is refused below, so it is never stored and always misses
+        cost, tech = cost_of(req_id), tech_of(req_id)
+        score = memo.get((impact_value, cost, tech))
+        if score is None:
+            misses.append((req_id, impact_value, cost, tech))
+        else:
+            entries.append(new_entry(PrioritizedEntry, (
+                goal, req_id, impact_value, cost, tech) + score))
+    # misses are scored in build_srl order, so the refusal raised is that of
+    # build_srl's first refused contributor, whatever the memo holds
+    misses.sort(key=_strongest_first(model))
+    for req_id, impact_value, cost, tech in misses:
         triple = (impact_value, cost, tech)
-        score = memo.get(triple)
+        score = memo.get(triple)  # an earlier miss may have scored it
         if score is None:
             for finding in _risk_findings(req_id, risk):
                 _refuse(finding)

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paps
-from generators import strong_rules_only
+from generators import random_valid_model, strong_rules_only
 from obs_tables import EXPECTED_SUPPORT, GOAL_IDS, REQ_IDS
 from paps import render
 from paps.fcl import FclError, parse_rulebase
-from paps.fuzzy import (LinguisticVariable, UniverseError, VariableConfig,
-                        label)
-from paps.model import RiskProfile
+from paps.fuzzy import (LinguisticVariable, NoActivationError, UniverseError,
+                        VariableConfig, defuzzify_cog, fuzzify, infer, label,
+                        short_label)
+from paps.model import (DerivationRule, Goal, Requirement, RiskProfile,
+                        SecurityModel, natural_key)
 from paps.pipeline import (REPORT_FIELDS, PrioritizedEntry, prioritize,
                            report_csv, report_json, report_table)
 from paps.relax import relax_json, relax_requirement, relax_srl
@@ -85,10 +87,9 @@ class TestPrioritize:
     def test_sorted_by_rds_then_id(self, obs, default_fis):
         model, risk = obs
         entries = prioritize(model, risk, "S", *default_fis)
-        keys = [(-e.rds, e.requirement) for e in entries]
+        keys = [(-e.rds, natural_key(e.requirement)) for e in entries]
         # ties (equal rds) must come out in natural id order
-        for (r1, id1), (r2, id2) in zip(keys, keys[1:]):
-            assert r1 <= r2
+        assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
 
     def test_deterministic(self, obs, default_fis):
         model, risk = obs
@@ -272,6 +273,108 @@ class TestScoreMemo:
         assert after == prioritize(model, changed, "S",
                                    *paps.load_default_rulebase())
         assert {e.requirement: e.rds for e in after}["R1"] != before["R1"]
+
+
+def _reference(model, risk, goal, config, rulebase) -> list:
+    """prioritize without a memo: each of ``build_srl``'s entries scored in
+    its order, then sorted by RDS, highest first, ties in natural id order."""
+    output = config.output
+    weakest = min(output.term_centroid(term) for term, _ in output.terms)
+    entries = []
+    for req, impact in paps.build_srl(model, goal):
+        cost, tech = risk.cost[req], risk.technical_ability[req]
+        try:
+            rds, no_activation = defuzzify_cog(output, infer(
+                rulebase, fuzzify(config, {"impact": impact, "cost": cost,
+                                           "tech": tech}))), False
+        except NoActivationError:
+            rds, no_activation = weakest, True
+        term = label(output, rds)
+        entries.append(PrioritizedEntry(goal, req, impact, cost, tech, rds,
+                                        term, short_label(term),
+                                        no_activation))
+    return sorted(entries, key=lambda e: (-e.rds, natural_key(e.requirement)))
+
+
+class TestOrder:
+    """prioritize reads a goal's impact row as stored, scores its memo
+    misses in build_srl order and sorts the entries once: the entries, the
+    refusal and the stage calls are those of scoring build_srl's entries in
+    order."""
+
+    def _check(self, model, risk, config, rulebase) -> None:
+        goals = [g.id for g in model.goals]
+        expected = {g: _reference(model, risk, g, config, rulebase)
+                    for g in goals}
+        for sweep in ("cold", "warm"):
+            for g in goals:
+                entries = prioritize(model, risk, g, config, rulebase)
+                assert entries == expected[g], (sweep, g)
+                keys = [(-e.rds, natural_key(e.requirement))
+                        for e in entries]
+                assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_generated_models_match_the_reference(self, rng, starved):
+        model, risk = random_valid_model(rng)
+        config, rulebase = paps.load_default_rulebase()
+        if starved:
+            rulebase = strong_rules_only(rulebase)
+        self._check(model, risk, config, rulebase)
+
+    def test_ties_of_the_fallback_rds_come_in_id_order(self, obs):
+        model, risk = obs
+        config, rulebase = paps.load_default_rulebase()
+        starved = strong_rules_only(rulebase)
+        entries = prioritize(model, risk, "S", config, starved)
+        fallback = [e.requirement for e in entries if e.no_activation]
+        # many entries share the fallback RDS, and neither the stored row
+        # nor build_srl has them in natural id order
+        assert len(fallback) > 2
+        for order in (model.graph.impact_rows["S"],
+                      [req for req, _ in paps.build_srl(model, "S")]):
+            assert [req for req in order if req in fallback] != fallback
+        # a fresh rule base, so that the first sweep starts cold
+        self._check(model, risk, config, strong_rules_only(rulebase))
+
+    @pytest.mark.parametrize("call", [prioritize, relax_srl])
+    def test_the_first_contributor_outside_a_universe_is_named(self, obs,
+                                                               call):
+        model, risk = obs
+        # R12 joins R5 and R8 below the cost universe; it comes after them
+        # in the row of S, before them in build_srl order
+        low = RiskProfile({**risk.cost, "R12": 0.02}, risk.technical_ability)
+        row = [req for req in model.graph.impact_rows["S"]
+               if low.cost[req] < 0.1]
+        in_order = [req for req, _ in paps.build_srl(model, "S")
+                    if low.cost[req] < 0.1]
+        assert len(row) > 1 and row[0] != in_order[0]
+        config, cold = parse_rulebase(cost_from_a_tenth_rules())
+        _, warm = parse_rulebase(cost_from_a_tenth_rules())
+        for goal in GOAL_IDS:  # the warm memo holds what a sweep stores
+            for c in (prioritize, relax_srl):
+                _outcome(c, model, risk, goal, config, warm)
+        assert warm._scores[0][1]
+        first = in_order[0]
+        for rulebase in (cold, warm, cold, warm):
+            with pytest.raises(UniverseError) as exc:
+                call(model, low, "S", config, rulebase)
+            assert str(exc.value) == (
+                f"requirement {first}: cost={low.cost[first]} outside "
+                "universe [0.1, 1.0]")
+
+    def test_a_triple_shared_in_one_row_is_scored_once(self, monkeypatch):
+        model = SecurityModel(
+            (Goal("G1"),), (Requirement("R1"), Requirement("R2")),
+            (DerivationRule("P1", "G1", ("R2", "R1"), 0.7),), root="G1")
+        risk = RiskProfile({"R1": 0.3, "R2": 0.3}, {"R1": 0.6, "R2": 0.6})
+        config, rulebase = paps.load_default_rulebase()
+        calls = count_stage_calls(monkeypatch)
+        entries = prioritize(model, risk, "G1", config, rulebase)
+        assert [e.requirement for e in entries] == ["R1", "R2"]
+        assert entries[0][2:] == entries[1][2:]
+        assert calls == {"check_inputs": 1, **{stage: 1 for stage in STAGES}}
 
 
 _ids = st.text(st.sampled_from("GRS019"), min_size=1, max_size=4)
