@@ -66,11 +66,15 @@ def _load(parse: Callable, path: str | None):
         _fail(f"{path or '<default rules>'}: {exc}")
 
 
-def _check_valid(model, risk) -> None:
+def _valid_model(model_path: str):
+    """The model and risk profile of the file at ``model_path``; one that
+    does not parse or validate ends the command with exit code 1."""
+    model, risk = _load(parse_model, model_path)
     report = validate_model(model, risk)
     if not report.ok:
         _warn("\n".join(map(str, report.errors)))
         sys.exit(1)
+    return model, risk
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
@@ -102,8 +106,7 @@ def _validate(model_path: str) -> None:
 def _impacts(model_path: str, goal: str | None, fmt: str,
              out: str | None) -> None:
     """Print the goal x requirement impact matrix."""
-    model, risk = _load(parse_model, model_path)
-    _check_valid(model, risk)
+    model, _ = _valid_model(model_path)
     matrix = impact_matrix(model)
     if goal is not None and goal not in matrix.goals:
         _fail(f"unknown goal {goal!r}")
@@ -117,8 +120,7 @@ def _for_goal(model_path: str, goal: str | None, rules: str | None,
     """``run(model, risk, goal, config, rulebase)`` on a valid model, goal
     (default: the root) and rule base; any failure is reported on stderr
     and ends the command with exit code 1."""
-    model, risk = _load(parse_model, model_path)
-    _check_valid(model, risk)
+    model, risk = _valid_model(model_path)
     config, rulebase = _load(parse_rulebase, rules)
     target = model.root if goal is None else goal
     if target not in model.graph.goals:

@@ -57,7 +57,8 @@ INPUT_NAMES = ("impact", "cost", "tech")
 def check_inputs(config: VariableConfig,
                  at: Mapping[str, tuple[int, int]] | None = None) -> None:
     """The inputs must be exactly impact, cost and tech, the output's RANGE
-    inside [0, 1]. An error about a variable is placed at ``at[name]``."""
+    inside [0, 1] and none of its terms of zero area. An error about a
+    variable is placed at ``at[name]``."""
     at = at or {}
     names = config.input_names()
     if sorted(names) != sorted(INPUT_NAMES):
@@ -70,6 +71,19 @@ def check_inputs(config: VariableConfig,
         raise FclError(*at.get(config.output.name, (1, 1)),
                        f"output variable {config.output.name} has "
                        f"RANGE ({lo} .. {hi}), not inside [0, 1]")
+    _check_areas(config.output, {})
+
+
+def _check_areas(output: LinguisticVariable,
+                 at: Mapping[str, tuple[int, int]]) -> None:
+    """Refuse, at ``at[term]``, the first term whose area is 0 (x0 == x3, or
+    rounding): labels and the no-activation fallback read its centroid."""
+    for term, _ in output.terms:
+        try:
+            output.term_centroid(term)
+        except NoActivationError:
+            raise FclError(*at.get(term, (1, 1)), f"output term "
+                           f"{output.name}.{term} has zero area") from None
 
 
 def _read_var(kind: str, name: str, lines: Iterator[tuple[int, int, str]],
@@ -120,19 +134,11 @@ def _read_var(kind: str, name: str, lines: Iterator[tuple[int, int, str]],
     var = LinguisticVariable(name, var_range, tuple(terms))
     if name in inputs or (output is not None and name == output.name):
         raise FclError(lineno, 1, f"duplicate variable {name}")
-    if kind == "input":
-        return var, range_at
-    if output is not None:
-        raise FclError(lineno, 1, f"second output variable {name}; "
-                                  f"{output.name} is already the output")
-    # Labels and the no-activation fallback read every output term's
-    # centroid; a term whose area is 0 (x0 == x3, or rounding) has none.
-    for term, at in term_at.items():
-        try:
-            var.term_centroid(term)
-        except NoActivationError:
-            raise FclError(*at, f"output term {name}.{term} "
-                                "has zero area") from None
+    if kind == "output":
+        if output is not None:
+            raise FclError(lineno, 1, f"second output variable {name}; "
+                                      f"{output.name} is already the output")
+        _check_areas(var, term_at)
     return var, range_at
 
 
@@ -168,11 +174,11 @@ def _read_rule(lineno: int, col: int, line: str,
 def parse_rulebase(text: str) -> tuple[VariableConfig, RuleBase]:
     """The configuration and rules of the .rules ``text``; one leading
     U+FEFF (a byte-order mark) is ignored."""
-    text = text.removeprefix("\ufeff")
-    eof = len(split_lines(text)) + 1
+    raw = split_lines(text.removeprefix("\ufeff"))
+    eof = len(raw) + 1
     # (line, column, text) of each line that is more than a comment; the
     # block readers take their lines from this same iterator
-    lines = ((lineno, col, code) for lineno, col, line in nonblank_lines(text)
+    lines = ((lineno, col, code) for lineno, col, line in nonblank_lines(raw)
              if (code := line.split("//", 1)[0].split("#", 1)[0].rstrip()))
     inputs: dict[str, LinguisticVariable] = {}
     output: LinguisticVariable | None = None

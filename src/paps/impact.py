@@ -51,14 +51,15 @@ class ImpactMatrix(namedtuple("ImpactMatrix", "goals requirements rows")):
     # and yield their text a line (csv, table) or a goal block (json) at a
     # time; ``to_csv``, ``to_table`` and ``to_json`` join what they yield.
 
-    def _lines(self, goals: Iterable[str], blank: list[str],
-               texts: list[_Texts], head: Callable[[str], str] | None = None
+    def _lines(self, goals: Iterable[str], texts: list[_Texts],
+               head: Callable[[str], str] | None = None
                ) -> Iterator[list[str]]:
-        """Each goal's cells: a copy of ``blank`` in which the non-zero cell
-        of requirement i reads ``texts[i][value]``. With ``head`` a line
+        """Each goal's cells: requirement i's cell reads ``texts[i][value]``,
+        ``texts[i][0.0]`` where the impact is zero. With ``head`` a line
         starts with ``head(goal)``, and the requirements count from 1."""
         index = {r: i for i, r in
                  enumerate(self.requirements, 0 if head is None else 1)}
+        blank = [t[0.0] for t in texts]
         line = blank if head is None else ["", *blank]
         texts = texts if head is None else [None, *texts]
         for g in goals:
@@ -71,14 +72,11 @@ class ImpactMatrix(namedtuple("ImpactMatrix", "goals requirements rows")):
             yield cells
 
     def csv_lines(self, goals: Iterable[str] | None = None) -> Iterator[str]:
-        """Each line of ``to_csv``."""
+        """Each line of ``to_csv``: a ``render.csv``."""
         columns = self.requirements
-        text = _Texts("{:.2f}".format)
-        yield ",".join(["goal", *columns]) + "\n"
-        for cells in self._lines(
-                self.goals if goals is None else goals,
-                [text[0.0]] * len(columns), [text] * len(columns), str):
-            yield ",".join(cells) + "\n"
+        return render.csv_lines(["goal", *columns], self._lines(
+            self.goals if goals is None else goals,
+            [_Texts("{:.2f}".format)] * len(columns), str))
 
     def table_lines(self, goals: Iterable[str] | None = None
                     ) -> Iterator[str]:
@@ -93,9 +91,8 @@ class ImpactMatrix(namedtuple("ImpactMatrix", "goals requirements rows")):
         padded = {w: _Texts(f"{{:<{w}.2f}}".format) for w in widths[1:]}
         texts = [padded[w] for w in widths[1:]]
         yield from render.table_lines(
-            ["goal", *self.requirements], self._lines(
-                goals, [t[0.0] for t in texts], texts,
-                lambda g: g.ljust(widths[0])), widths)
+            ["goal", *self.requirements],
+            self._lines(goals, texts, lambda g: g.ljust(widths[0])), widths)
 
     def json_blocks(self, goals: Iterable[str] | None = None
                     ) -> Iterator[str]:
@@ -115,8 +112,7 @@ class ImpactMatrix(namedtuple("ImpactMatrix", "goals requirements rows")):
                  for r in self.requirements]
         last = goals[-1]
         yield "{\n"
-        for g, cells in zip(goals, self._lines(
-                goals, [t[0.0] for t in texts], texts)):
+        for g, cells in zip(goals, self._lines(goals, texts)):
             body = "{\n" + ",\n".join(cells) + "\n  }" if cells else "{}"
             yield f"  {dumps(g)}: {body}{',' if g != last else ''}\n"
         yield "}\n"

@@ -33,9 +33,15 @@ def table_lines(header: Sequence[str], rows: Iterable[Sequence[str]],
 
 def csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     """Comma-separated cells, one line per row after the header."""
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return "".join(csv_lines(header, rows))
+
+
+def csv_lines(header: Sequence[str], rows: Iterable[Sequence[str]]
+              ) -> Iterator[str]:
+    """Each line of ``csv``, its line break included, as ``rows`` yields."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(row) + "\n"
 
 
 def json_rows(rows: list) -> str:

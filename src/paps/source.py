@@ -38,10 +38,15 @@ def split_lines(text: str) -> list[str]:
     return lines
 
 
-def nonblank_lines(text: str) -> Iterator[tuple[int, int, str]]:
-    """(line, column of the first non-blank character, stripped text) of
-    each line of ``text`` that is not blank."""
-    for lineno, raw in enumerate(split_lines(text), start=1):
+def column(raw: str) -> int:
+    """The column of the first non-blank character of the line ``raw``."""
+    return len(raw) - len(raw.lstrip()) + 1
+
+
+def nonblank_lines(lines: list[str]) -> Iterator[tuple[int, int, str]]:
+    """(line, ``column``, stripped text) of each of ``lines``, as
+    ``split_lines`` gives them, that is not blank."""
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line:
-            yield lineno, len(raw) - len(raw.lstrip()) + 1, line
+            yield lineno, column(raw), line

@@ -22,7 +22,7 @@ import re
 from .model import (CATEGORY_CYCLE, CATEGORY_REQ_AS_HEAD, DerivationRule,
                     Goal, Requirement, RiskProfile, SecurityModel, _refuse,
                     natural_key, validate_model)
-from .source import NUMBER, ParseError, split_lines
+from .source import NUMBER, ParseError, column, split_lines
 
 
 class SrmError(ParseError):
@@ -75,13 +75,8 @@ def _id(node_id: str) -> str:
     return node_id
 
 
-def _column(raw: str) -> int:
-    """The column of the first non-blank character of the line ``raw``."""
-    return len(raw) - len(raw.lstrip()) + 1
-
-
 def _redeclared(lineno: int, raw: str, name: str, first: int) -> SrmError:
-    return SrmError(lineno, _column(raw),
+    return SrmError(lineno, column(raw),
                     f"{name} already declared on line {first}")
 
 
@@ -90,8 +85,8 @@ def _line_error(lineno: int, raw: str, line: str) -> SrmError:
     or the rest of the line is malformed."""
     keyword = line.split(None, 1)[0]
     if keyword not in _LINES:
-        return SrmError(lineno, _column(raw), f"unknown directive {keyword!r}")
-    return SrmError(lineno, _column(raw),
+        return SrmError(lineno, column(raw), f"unknown directive {keyword!r}")
+    return SrmError(lineno, column(raw),
                     f"malformed {keyword} line{_LINES[keyword][1]}")
 
 
@@ -106,33 +101,33 @@ def _attributes(text: str, lineno: int, raw: str, req_id: str,
     for name, number, quoted in _ATTR_RE.findall(text):
         kind = _ATTRS.get(name)
         if kind is None:
-            raise SrmError(lineno, _column(raw), f"unknown attribute {name!r}")
+            raise SrmError(lineno, column(raw), f"unknown attribute {name!r}")
         if name in attrs:
-            raise SrmError(lineno, _column(raw),
+            raise SrmError(lineno, column(raw),
                            f"duplicate attribute {name!r}")
         if (kind == "numeric") != bool(number):
-            raise SrmError(lineno, _column(raw),
+            raise SrmError(lineno, column(raw),
                            f"attribute {name} needs a {kind} value")
         if number:
             value = float(number)
             if value in (_INF, -_INF):
-                raise SrmError(lineno, _column(raw), "number too large")
+                raise SrmError(lineno, column(raw), "number too large")
             attrs[name] = value
         else:
             attrs[name] = _unescape(quoted)
     for required in ("cost", "tech"):
         if required not in attrs:
-            raise SrmError(lineno, _column(raw),
+            raise SrmError(lineno, column(raw),
                            f"req {req_id} is missing {required}=")
     cost, tech = attrs["cost"] / cost_scale, attrs["tech"]
     if not 0.0 <= cost <= 1.0:
-        raise SrmError(lineno, _column(raw),
+        raise SrmError(lineno, column(raw),
                        f"cost {attrs['cost']} outside [0, {cost_scale:g}]")
     if not 0.0 <= tech <= 1.0:
-        raise SrmError(lineno, _column(raw), f"tech {tech} outside [0, 1]")
+        raise SrmError(lineno, column(raw), f"tech {tech} outside [0, 1]")
     ov = attrs.get("ov")
     if ov is not None and ov <= 0:
-        raise SrmError(lineno, _column(raw), "ov must be positive")
+        raise SrmError(lineno, column(raw), "ov must be positive")
     return cost, tech, attrs.get("metric"), attrs.get("connector"), ov
 
 
@@ -168,7 +163,7 @@ def parse_model(text: str) -> tuple[SecurityModel, RiskProfile]:
             rule_line[rule_id] = lineno
             degree = float(degree_src)
             if not 0.0 <= degree <= 1.0:
-                raise SrmError(lineno, _column(raw),
+                raise SrmError(lineno, column(raw),
                                "number too large" if degree in (_INF, -_INF)
                                else f"degree {degree_src} outside [0, 1]")
             rules.append(new(DerivationRule,
@@ -189,7 +184,7 @@ def parse_model(text: str) -> tuple[SecurityModel, RiskProfile]:
             declared[goal_id] = lineno
             goals.append(new(Goal, (goal_id, _unescape(description))))
         elif kind == "op" and (m := _OPTION.match(line)):
-            col = _column(raw)
+            col = column(raw)
             # every line before this one that parsed declared an id
             if declared or rules:
                 raise SrmError(lineno, col,
@@ -213,7 +208,7 @@ def parse_model(text: str) -> tuple[SecurityModel, RiskProfile]:
         for node in (rule.head, *rule.body):
             if node not in declared:
                 at = rule_line[rule.id]
-                raise SrmError(at, _column(lines[at - 1]),
+                raise SrmError(at, column(lines[at - 1]),
                                f"rule {rule.id} references undeclared id {node!r}")
     return (SecurityModel(tuple(goals), tuple(requirements), tuple(rules),
                           root=goals[0].id),

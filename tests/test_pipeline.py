@@ -11,9 +11,9 @@ from generators import random_valid_model, strong_rules_only
 from obs_tables import EXPECTED_SUPPORT, GOAL_IDS, REQ_IDS
 from paps import render
 from paps.fcl import FclError, parse_rulebase
-from paps.fuzzy import (LinguisticVariable, NoActivationError, UniverseError,
-                        VariableConfig, defuzzify_cog, fuzzify, infer, label,
-                        short_label)
+from paps.fuzzy import (LinguisticVariable, NoActivationError, TrapezoidMF,
+                        UniverseError, VariableConfig, defuzzify_cog, fuzzify,
+                        infer, label, short_label)
 from paps.model import (DerivationRule, Goal, Requirement, RiskProfile,
                         SecurityModel, natural_key)
 from paps.pipeline import (REPORT_FIELDS, PrioritizedEntry, prioritize,
@@ -462,13 +462,18 @@ class TestInputBinding:
         model, risk = obs
         config, rulebase = default_fis
         wide = LinguisticVariable("priority", (0.0, 2.0), config.output.terms)
+        flat = LinguisticVariable("priority", (0, 1), (
+            ("optional", TrapezoidMF(.5, .5, .5, .5)),
+            *config.output.terms[1:]))
         for bad, message in [
                 (VariableConfig(config.inputs[:2], config.output),
                  "input variables must be impact, cost and tech, "
                  "got impact, cost"),
                 (VariableConfig(config.inputs, wide),
                  "output variable priority has RANGE (0.0 .. 2.0), "
-                 "not inside [0, 1]")]:
+                 "not inside [0, 1]"),
+                (VariableConfig(config.inputs, flat),
+                 "output term priority.optional has zero area")]:
             # a config that fails gets no memo, so every call checks it
             for call in (prioritize, relax_srl, prioritize):
                 with pytest.raises(FclError) as exc:

@@ -52,16 +52,35 @@ class TestTable:
                 == render.table(header, rows))
 
 
+def _joined_lines(header, rows):
+    """``render.csv_lines`` joined, each chunk checked to be one line."""
+    chunks = list(render.csv_lines(header, rows))
+    for chunk in chunks:
+        assert chunk.endswith("\n") and chunk.count("\n") == 1
+    return "".join(chunks)
+
+
 class TestCsv:
+    # each test holds for ``render.csv`` and for its lines joined
+    writers = (render.csv, _joined_lines)
+
     def test_layout(self):
-        assert render.csv(["goal", "R1"], [["S", "0.50"], ["G1", "0.00"]]) == (
-            "goal,R1\nS,0.50\nG1,0.00\n")
+        for csv in self.writers:
+            assert csv(["goal", "R1"], [["S", "0.50"], ["G1", "0.00"]]) == (
+                "goal,R1\nS,0.50\nG1,0.00\n")
 
     def test_no_value_columns_leaves_no_trailing_comma(self):
-        assert render.csv(["goal"], [["S"], ["G1"]]) == "goal\nS\nG1\n"
+        for csv in self.writers:
+            assert csv(["goal"], [["S"], ["G1"]]) == "goal\nS\nG1\n"
 
     def test_rows_may_be_a_generator(self):
-        assert render.csv(["a"], (["x"] for _ in range(2))) == "a\nx\nx\n"
+        for csv in self.writers:
+            assert csv(["a"], (["x"] for _ in range(2))) == "a\nx\nx\n"
+
+    @given(grids())
+    def test_lines_join_to_csv(self, grid):
+        header, rows = grid
+        assert _joined_lines(header, rows) == render.csv(header, rows)
 
 
 class TestJsonRows:
