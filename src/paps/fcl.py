@@ -54,12 +54,17 @@ _ATOM = rf"^({_ID})\s+(?i:IS)\s+({_ID})$"
 INPUT_NAMES = ("impact", "cost", "tech")
 
 
-def check_inputs(config: VariableConfig,
-                 at: Mapping[str, tuple[int, int]] | None = None) -> None:
+def check_inputs(config: VariableConfig) -> None:
     """The inputs must be exactly impact, cost and tech, the output's RANGE
-    inside [0, 1] and none of its terms of zero area. An error about a
-    variable is placed at ``at[name]``."""
-    at = at or {}
+    inside [0, 1] and none of its terms of zero area; an error is placed at
+    line 1, column 1."""
+    _check_variables(config, {})
+    _check_areas(config.output, {})
+
+
+def _check_variables(config: VariableConfig,
+                     at: Mapping[str, tuple[int, int]]) -> None:
+    """``check_inputs``' names and range checks, placed at ``at[name]``."""
     names = config.input_names()
     if sorted(names) != sorted(INPUT_NAMES):
         odd = next((n for n in names if n not in INPUT_NAMES), None)
@@ -71,7 +76,6 @@ def check_inputs(config: VariableConfig,
         raise FclError(*at.get(config.output.name, (1, 1)),
                        f"output variable {config.output.name} has "
                        f"RANGE ({lo} .. {hi}), not inside [0, 1]")
-    _check_areas(config.output, {})
 
 
 def _check_areas(output: LinguisticVariable,
@@ -182,7 +186,7 @@ def parse_rulebase(text: str) -> tuple[VariableConfig, RuleBase]:
              if (code := line.split("//", 1)[0].split("#", 1)[0].rstrip()))
     inputs: dict[str, LinguisticVariable] = {}
     output: LinguisticVariable | None = None
-    at: dict[str, tuple[int, int]] = {}  # for check_inputs
+    at: dict[str, tuple[int, int]] = {}  # for _check_variables
     rules: dict[str, FuzzyRule] = {}  # by id
     for lineno, col, line in lines:
         m = re.match(_VAR, line)
@@ -215,5 +219,5 @@ def parse_rulebase(text: str) -> tuple[VariableConfig, RuleBase]:
     if not rules:
         raise FclError(1, 1, "no rules declared")
     config = VariableConfig(tuple(inputs.values()), output)
-    check_inputs(config, at)
+    _check_variables(config, at)  # _read_var checked the output's areas
     return config, RuleBase(tuple(rules.values()))

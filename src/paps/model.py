@@ -416,12 +416,8 @@ def validate_model(model: SecurityModel, risk: RiskProfile) -> ValidationReport:
     by_id = list(rules)
     cost, tech = risk.cost.get, risk.technical_ability.get
     for req in model.requirements:
-        try:  # _in_unit's test, for both values at once
-            if 0.0 <= cost(req.id) <= 1.0 and 0.0 <= tech(req.id) <= 1.0:
-                continue
-        except TypeError:  # a missing value (None) or not a number
-            pass
-        by_id.extend(_risk_findings(req.id, risk))
+        if not (_in_unit(cost(req.id)) and _in_unit(tech(req.id))):
+            by_id.extend(_risk_findings(req.id, risk))
     # The model's findings are found once; the risk findings join its rule
     # findings in id order, after them on an equal id (a stable sort).
     by_id.sort(key=lambda f: natural_key(f.subject))

@@ -48,12 +48,29 @@ def _ov_symbol(req_id: str) -> str:
     return f"OV_{m.group(1)}" if m else f"OV_{req_id}"
 
 
+def _check_rds(rds: float) -> None:
+    if not 0.0 <= rds <= 1.0:  # NaN fails too
+        raise ValueError(f"rds {rds} outside [0, 1]")
+
+
+def _check_ov(ov: float) -> None:
+    if not ov > 0:  # NaN fails too
+        raise ValueError(f"ov must be positive, got {ov}")
+    if math.isinf(ov):
+        raise ValueError(f"ov must be finite, got {ov}")
+
+
 def _parts(req: Requirement) -> tuple[str, str, str, str, str, str]:
     """Everything of ``req``'s statement but its RDS: id, metric,
     connector, OV symbol, and the rendered text before and after the RDS."""
     if req.metric is None:
         raise RenderError(req.id,
                           f"requirement {req.id} has no satisfaction metric")
+    if req.ov is not None:
+        try:
+            _check_ov(req.ov)
+        except ValueError as exc:
+            raise RenderError(req.id, f"requirement {req.id}: {exc}") from None
     connector = req.connector or DEFAULT_CONNECTOR
     ov = _ov_symbol(req.id) if req.ov is None else format_number(req.ov)
     return (req.id, req.metric, connector, ov,
@@ -63,8 +80,7 @@ def _parts(req: Requirement) -> tuple[str, str, str, str, str, str]:
 
 def _statement(parts: tuple[str, str, str, str, str, str],
                rds: float) -> RelaxedStatement:
-    if not 0.0 <= rds <= 1.0:
-        raise ValueError(f"rds {rds} outside [0, 1]")
+    # unchecked: prioritize's RDS lies in its output universe, inside [0, 1]
     req_id, metric, connector, ov, before, after = parts
     # built as ``prioritize`` builds its entries: every field is given
     return tuple.__new__(RelaxedStatement, (
@@ -72,7 +88,9 @@ def _statement(parts: tuple[str, str, str, str, str, str],
 
 
 def relax_requirement(req: Requirement, rds: float) -> RelaxedStatement:
-    return _statement(_parts(req), rds)
+    parts = _parts(req)  # a missing metric is reported before the RDS
+    _check_rds(rds)
+    return _statement(parts, rds)
 
 
 def relax_srl(model: SecurityModel, risk: RiskProfile, goal: str,
@@ -82,7 +100,7 @@ def relax_srl(model: SecurityModel, risk: RiskProfile, goal: str,
 
     The parts of a statement that do not depend on the RDS are built once
     per model, on a requirement's first statement, and kept on the model.
-    A requirement without a metric is never kept, so it raises
+    A requirement that cannot be rendered is never kept, so it raises
     ``RenderError`` on every call in which it contributes.
     """
     kept = model._statement_parts
@@ -127,22 +145,16 @@ def default_deviation(rds: float, ov: float) -> DeviationMembership:
     """Tolerance of a quarter of the relaxed target."""
     if not (rds > 0 and ov > 0):  # NaN fails too
         raise ValueError("rds and ov must be positive for the default width")
-    if rds > 1.0:
-        raise ValueError(f"rds {rds} outside [0, 1]")
-    if math.isinf(ov):
-        raise ValueError(f"ov must be finite, got {ov}")
+    _check_rds(rds)
+    _check_ov(ov)
     return DeviationMembership(0.25 * rds * ov)
 
 
 def deviation_degree(dm: DeviationMembership, v: float,
                      rds: float, ov: float) -> float:
     """How acceptable the achieved value v is, given target rds x ov."""
-    if not ov > 0:
-        raise ValueError(f"ov must be positive, got {ov}")
-    if math.isinf(ov):
-        raise ValueError(f"ov must be finite, got {ov}")
-    if not 0.0 <= rds <= 1.0:
-        raise ValueError(f"rds {rds} outside [0, 1]")
+    _check_ov(ov)
+    _check_rds(rds)
     if math.isnan(v):
         raise ValueError(f"v must be a number, got {v}")
     return max(0.0, 1.0 - abs(v - rds * ov) / dm.half_width)

@@ -8,6 +8,7 @@ import pytest
 import paps
 from generators import NOT_LINE_BREAK_IDS, NOT_LINE_BREAKS
 from paps.fcl import FclError, parse_rulebase
+from paps.fuzzy import LinguisticVariable
 from paps.source import split_lines
 
 SMALL = """\
@@ -199,6 +200,19 @@ class TestParseRulebase:
                                                "has zero area") as exc:
                 parse_rulebase(bad)
             assert (exc.value.line, exc.value.column) == (line + 1, 5)
+
+    def test_each_output_centroid_is_computed_once(self, monkeypatch):
+        calls = []
+        centroid = LinguisticVariable.term_centroid
+
+        def counting(var, term):
+            calls.append((var.name, term))
+            return centroid(var, term)
+
+        monkeypatch.setattr(LinguisticVariable, "term_centroid", counting)
+        config, _ = parse_rulebase(paps.default_rules_text())
+        assert sorted(calls) == sorted(
+            (config.output.name, term) for term in config.output.term_names())
 
     def test_least_normal_width_output_term_accepted(self):
         # Width 2.2250738585072014e-308: its area is subnormal, not 0.

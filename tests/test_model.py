@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from typing import Iterator, Mapping
@@ -7,8 +8,9 @@ from hypothesis import example, given, strategies as st
 
 import paps
 from paps.impact import build_srl, impact, impact_matrix
-from paps.model import (DerivationRule, Goal, Requirement, RiskProfile,
-                        SecurityModel, adjacency, natural_key,
+from paps.model import (CATEGORY_MISSING_RISK, CATEGORY_RANGE,
+                        DerivationRule, Finding, Goal, Requirement,
+                        RiskProfile, SecurityModel, adjacency, natural_key,
                         technical_ability, validate_model)
 
 
@@ -189,6 +191,48 @@ class TestValuesThatAreNotNumbers:
             with pytest.raises(ValueError) as exc:
                 call()
             assert str(exc.value) == text
+
+
+_ABSENT = object()
+# A risk value of each kind: inside [0, 1] at its edges, just outside it,
+# not a number, or not comparable with floats at all.
+_RISK_VALUES = st.sampled_from([_ABSENT, None, "0.5", math.nan, math.inf,
+                                -math.inf, -0.0, 5e-324, True, 1,
+                                1.0000000000000002])
+
+
+def _reference_risk_findings(model, risk):
+    """Every requirement's cost and technical ability findings, each value
+    checked on its own with no fast path."""
+    findings = []
+    for req in model.requirements:
+        for name, table in (("cost", risk.cost),
+                            ("technical ability", risk.technical_ability)):
+            if req.id not in table:
+                findings.append(Finding(CATEGORY_MISSING_RISK, "error",
+                                        req.id, f"no {name} value"))
+                continue
+            value = table[req.id]
+            if not (isinstance(value, (int, float))
+                    and not math.isnan(value) and 0 <= value <= 1):
+                findings.append(Finding(CATEGORY_RANGE, "error", req.id,
+                                        f"{name} {value!r} outside [0, 1]"))
+    return findings
+
+
+class TestRiskFindingsAgainstAReference:
+    @given(st.lists(st.tuples(_RISK_VALUES, _RISK_VALUES), min_size=1,
+                    max_size=8))
+    def test_findings_match_a_check_of_every_value(self, values):
+        ids = [f"R{i}" for i in range(1, len(values) + 1)]
+        model = SecurityModel((Goal("S"),), tuple(map(Requirement, ids)),
+                              (DerivationRule("P1", "S", tuple(ids), 0.5),),
+                              "S")
+        cost, tech = ({i: v[k] for i, v in zip(ids, values)
+                       if v[k] is not _ABSENT} for k in (0, 1))
+        risk = RiskProfile(cost, tech)
+        assert validate_model(model, risk).findings == \
+            tuple(_reference_risk_findings(model, risk))
 
 
 class TestCyclicModelsRaise:

@@ -240,6 +240,48 @@ class TestStatementTable:
             assert statement == relax_requirement(model.requirement("R1"),
                                                   statement.rds)
 
+    @pytest.mark.parametrize("ov, message", [
+        (0.0, "ov must be positive, got 0.0"),
+        (-1.0, "ov must be positive, got -1.0"),
+        (math.inf, "ov must be finite, got inf"),
+        (math.nan, "ov must be positive, got nan"),
+    ], ids=["zero", "negative", "inf", "nan"])
+    def test_numeric_ov_that_is_not_a_target_raises_every_time(
+            self, default_fis, ov, message):
+        model = SecurityModel((Goal("G1"),), (Requirement("R1", "d", "m",
+                                                          ov=ov),),
+                              (DerivationRule("P1", "G1", ("R1",), 0.6),),
+                              "G1")
+        risk = RiskProfile({"R1": 0.4}, {"R1": 0.7})
+        calls = [lambda: relax_srl(model, risk, "G1", *default_fis)] * 2 + \
+            [lambda: relax_requirement(model.requirement("R1"), 0.5)]
+        for call in calls:  # relax_srl cold and warm, relax_requirement
+            with pytest.raises(RenderError) as exc:
+                call()
+            assert exc.value.requirement == "R1"
+            assert str(exc.value) == f"requirement R1: {message}"
+        assert "R1" not in model._statement_parts
+
+
+class TestCheckPrecedence:
+    """Which message wins when two arguments are bad."""
+
+    def test_default_width_reports_rds_before_an_infinite_ov(self):
+        with pytest.raises(ValueError, match=r"rds 1.5 outside \[0, 1\]"):
+            default_deviation(1.5, math.inf)
+
+    @pytest.mark.parametrize("v, ov, message", [
+        (math.nan, math.inf, "ov must be finite, got inf"),
+        (5.0, -1.0, "ov must be positive, got -1.0"),
+    ], ids=["inf", "negative"])
+    def test_degree_reports_ov_before_rds_and_v(self, v, ov, message):
+        with pytest.raises(ValueError, match=message):
+            deviation_degree(DeviationMembership(10.0), v, 1.5, ov)
+
+    def test_missing_metric_reported_before_rds(self):
+        with pytest.raises(RenderError):
+            relax_requirement(Requirement("R1"), 2.0)
+
 
 class TestDeviationDegree:
     def test_exact_target_is_one(self):
