@@ -8,11 +8,14 @@ closed at start) exits 1 with nothing on stderr, as do ``--help`` and
 ``main`` runs one command line and raises ``SystemExit``, for in-process
 callers; ``run`` is the process entry point (``paps`` and ``python -m
 paps.cli``).
+
+A plain command line (a command, its model and its own options, each with
+a value) is read directly. Any other goes to argparse, imported only then,
+so help, version and usage-error text are all argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import codecs
 import functools
 import io
@@ -163,20 +166,39 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse writes to the other stream where one is None (its file
-    descriptor closed at start). Here a usage error then prints nothing,
-    and help or version text fails as a command's output does."""
+def _plain(args: list[str]) -> dict | None:
+    """``vars(_parser(prog).parse_args(args))`` for a plain command line,
+    read without argparse; None for any other, which argparse parses.
 
-    def error(self, message):
-        if sys.stderr is None:
-            sys.exit(2)
-        super().error(message)
-
-    def _print_message(self, message, file=None):
-        if file is None:  # help or version text, with no stdout
-            raise BrokenPipeError
-        super()._print_message(message, file)
+    Plain is a ``_COMMANDS`` name, then one MODEL and only that command's
+    own options, in any order, each spelled in full and followed by its
+    value. Neither MODEL nor a value is empty or starts with ``-``, and a
+    ``--format`` value is one of the command's choices. A repeated option
+    keeps its last value, as in argparse.
+    """
+    if not args or args[0] not in _COMMANDS:
+        return None
+    body, options, formats = _COMMANDS[args[0]]
+    dests = {option: option[2:] for option, _, _ in options}
+    parsed = dict.fromkeys(dests.values())
+    if formats:
+        dests.update({"--format": "fmt", "--out": "out"})
+        parsed.update(fmt="table", out=None)
+    parsed.update(body=body, model_path=None)
+    tokens = iter(args[1:])
+    for token in tokens:
+        dest = dests.get(token)
+        if dest is not None:
+            token = next(tokens, "")
+        elif parsed["model_path"] is None:
+            dest = "model_path"
+        else:  # a second MODEL, or an option not spelled out
+            return None
+        if not token or token[0] == "-" or (
+                dest == "fmt" and token not in formats):
+            return None
+        parsed[dest] = token
+    return None if parsed["model_path"] is None else parsed
 
 
 def _help_width() -> int:
@@ -197,9 +219,29 @@ def _help_width() -> int:
     return (columns or 80) - 2
 
 
-def _parser(prog: str) -> argparse.ArgumentParser:
+def _parser(prog: str):
+    """The ``argparse`` parser of the whole command line: the only source
+    of help, version and usage-error text."""
+    import argparse  # here only: a plain command line never loads it
+
+    class Parser(argparse.ArgumentParser):
+        """argparse writes to the other stream where one is None (its file
+        descriptor closed at start). Here a usage error then prints
+        nothing, and help or version text fails as a command's output
+        does."""
+
+        def error(self, message):
+            if sys.stderr is None:
+                sys.exit(2)
+            super().error(message)
+
+        def _print_message(self, message, file=None):
+            if file is None:  # help or version text, with no stdout
+                raise BrokenPipeError
+            super()._print_message(message, file)
+
     formatter = functools.partial(argparse.HelpFormatter, width=_help_width())
-    parser = _Parser(
+    parser = Parser(
         prog=prog, add_help=False, allow_abbrev=False,
         formatter_class=formatter,
         description="Prioritize and partially select security requirements "
@@ -239,9 +281,12 @@ def main(args: list[str] | None = None, prog_name: str | None = None):
         if codecs.lookup(getattr(stream, "encoding", None)
                          or "utf-8").name == "ascii":
             stream.reconfigure(encoding="utf-8", errors=stream.errors)
+    args = sys.argv[1:] if args is None else list(args)
     try:
         try:
-            options = vars(_parser(prog_name or "paps").parse_args(args))
+            options = _plain(args)
+            if options is None:
+                options = vars(_parser(prog_name or "paps").parse_args(args))
             options.pop("body")(**options)
         finally:
             if sys.stdout is not None:

@@ -54,7 +54,11 @@ def _check_rds(rds: float) -> None:
 
 
 def _check_ov(ov: float) -> None:
-    if not ov > 0:  # NaN fails too
+    try:
+        positive = ov > 0
+    except TypeError:  # a library-built ov such as "100"
+        raise ValueError(f"ov must be a number, got {ov!r}") from None
+    if not positive:  # NaN fails too
         raise ValueError(f"ov must be positive, got {ov}")
     if math.isinf(ov):
         raise ValueError(f"ov must be finite, got {ov}")

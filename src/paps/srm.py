@@ -35,9 +35,11 @@ _ID = r"[A-Za-z_][A-Za-z0-9_]*"
 _STR = r'"([^"\\]*(?:\\.[^"\\]*)*)"'
 _INF = float("inf")
 
-# keyword -> (line pattern, expected form named in the malformed-line error)
+# keyword -> (line pattern, expected form named in the malformed-line error).
+# The option pattern is text for ``re.match``, which compiles it on first
+# use: most models hold no option line.
 _LINES = {
-    "option": (re.compile(rf"option\s+({_ID})\s*=\s*({NUMBER})\s*$"), ""),
+    "option": (rf"option\s+({_ID})\s*=\s*({NUMBER})\s*$", ""),
     "goal": (re.compile(rf"goal\s+({_ID})\s+{_STR}\s*$"),
              ', expected: goal <ID> "<description>"'),
     "req": (re.compile(
@@ -183,7 +185,7 @@ def parse_model(text: str) -> tuple[SecurityModel, RiskProfile]:
                 raise _redeclared(lineno, raw, goal_id, declared[goal_id])
             declared[goal_id] = lineno
             goals.append(new(Goal, (goal_id, _unescape(description))))
-        elif kind == "op" and (m := _OPTION.match(line)):
+        elif kind == "op" and (m := re.match(_OPTION, line)):
             col = column(raw)
             # every line before this one that parsed declared an id
             if declared or rules:

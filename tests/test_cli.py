@@ -1,18 +1,23 @@
 import argparse
 import codecs
+import importlib.util
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import paps
 import paps.cli
 from cli_runner import invoke
-from generators import bench_gen
+from generators import BENCH, bench_gen
 from obs_tables import EXPECTED_METRICS, GOAL_IDS, REQ_IDS
 
 
@@ -543,6 +548,83 @@ class TestCommandLineSurface:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == "\nAborted!\n"
+
+
+# Tokens of random command lines: every command and option, and the forms
+# that only argparse may read (an inline value, an abbreviation, "--", a
+# value starting with "-", an empty one, help and version), with --format
+# values inside and outside each command's choices.
+_FLAGS = ["--goal", "--rules", "--format", "--out"]
+_VALUES = ["obs.srm", "G1", "a b", "table", "csv", "json", "html", "-1", ""]
+_TOKENS = [*paps.cli._COMMANDS, "frobnicate", *_FLAGS, "--help",
+           "--version", "--goal=G1", "--go", "--", "-", *_VALUES]
+# A command, then a MODEL-like token, and single tokens and option-value
+# pairs in any order: a list that starts otherwise is never plain.
+_PAIRS = st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES))
+_COMMAND_LINES = st.builds(
+    lambda command, model, pieces, at: [
+        command, *(t for piece in pieces[:at] for t in piece), model,
+        *(t for piece in pieces[at:] for t in piece)],
+    st.sampled_from(list(paps.cli._COMMANDS)), st.sampled_from(_VALUES),
+    st.lists(_PAIRS | _PAIRS | st.sampled_from(_TOKENS).map(lambda t: [t]),
+             max_size=5),
+    st.integers(0, 5))
+_ARGPARSE = paps.cli._parser("paps")
+
+
+def _bench_run(monkeypatch):
+    """``bench/run.py`` as a module, with its own directory importable."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPlainCommandLine:
+    """``main`` reads a plain command line itself and leaves every other
+    one, help and usage errors included, to argparse."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_COMMAND_LINES)
+    def test_reader_answers_only_as_argparse_does(self, args):
+        plain = paps.cli._plain(args)
+        if plain is not None:
+            assert plain == vars(_ARGPARSE.parse_args(args))
+
+    @pytest.mark.parametrize("workload", ["obs-cli", "large-impacts"])
+    def test_reader_answers_every_benchmark_command_line(
+            self, workload, tmp_path, monkeypatch):
+        bench = _bench_run(monkeypatch)
+        argvs = []
+        # the ops of the first cycles, which cover every sampled goal
+        monkeypatch.setattr(bench, "run_cli", lambda run, cycles: argvs.extend(
+            op.args for ops in itertools.islice(cycles, 6) for op in ops))
+        run = types.SimpleNamespace(
+            seed=1, rng=random.Random(workload), work=tmp_path, rel=tmp_path,
+            notes=[], problem=lambda text: None, calibration_process=None,
+            measure_setup=lambda model: None)
+        bench.WORKLOADS[workload](run)
+        assert argvs
+        assert [args for args in argvs if paps.cli._plain(args) is None] == []
+
+    def test_plain_commands_leave_argparse_unloaded(self, obs_path):
+        src = Path(paps.__file__).resolve().parent.parent
+        script = (
+            "import os, sys, paps.cli\n"
+            "sys.stdout = open(os.devnull, 'w', encoding='utf-8')\n"
+            "for command in ('validate', 'impacts', 'prioritize', 'relax'):\n"
+            "    try:\n"
+            f"        paps.cli.main([command, {obs_path!r}])\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0, (command, exc.code)\n"
+            "print([m for m in ('argparse', 'gettext', 'locale')"
+            " if m in sys.modules], file=sys.__stdout__)\n")
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
 
 
 class _Exited(Exception):

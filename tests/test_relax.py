@@ -245,7 +245,8 @@ class TestStatementTable:
         (-1.0, "ov must be positive, got -1.0"),
         (math.inf, "ov must be finite, got inf"),
         (math.nan, "ov must be positive, got nan"),
-    ], ids=["zero", "negative", "inf", "nan"])
+        ("100", "ov must be a number, got '100'"),
+    ], ids=["zero", "negative", "inf", "nan", "text"])
     def test_numeric_ov_that_is_not_a_target_raises_every_time(
             self, default_fis, ov, message):
         model = SecurityModel((Goal("G1"),), (Requirement("R1", "d", "m",

@@ -277,8 +277,9 @@ class TestStringPattern:
         # characters, the string pattern alone and every line pattern and
         # attribute pattern built from it match the same text with the
         # same groups, or fail on the same lines.
-        built = [p for p in [*(p for p, _ in srm._LINES.values()),
-                             srm._ATTR_RE] if srm._STR in p.pattern]
+        built = [p for p in map(re.compile, [
+            *(p for p, _ in srm._LINES.values()), srm._ATTR_RE])
+            if srm._STR in p.pattern]
         assert len(built) == 3  # goal, req and the attribute pattern
         patterns = [(re.compile(OLD_STR), re.compile(srm._STR))] + [
             (re.compile(p.pattern.replace(srm._STR, OLD_STR)), p)
